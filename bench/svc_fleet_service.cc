@@ -18,7 +18,7 @@
  *             CI soak scenario: an SLO alert must fire AND resolve).
  *
  * verify=1 additionally replays the identical scenario serially
- * (threads=1, no stealing) and compares state digests: any mismatch
+ * (threads=1, inline) and compares state digests: any mismatch
  * is a determinism bug and the bench exits nonzero. The CI smoke job
  * runs `scenario=flash chips=512 verify=1`.
  *
@@ -150,7 +150,6 @@ main(int argc, char **argv)
         std::max<size_t>(1, chips / config.server.socketCount);
     config.settleDuration = Seconds{0.02};
     config.stepper.threads = threads;
-    config.stepper.stealing = true;
     const double capacity =
         double(config.serverCount) *
         double(config.server.socketCount) *
@@ -162,16 +161,15 @@ main(int argc, char **argv)
 
     bool bitIdentical = true;
     if (verify) {
-        // Replay the same scenario serially (no pool, no stealing):
+        // Replay the same scenario serially (inline, no pool):
         // exact mode must be a pure function of (config, seeds).
         system::FleetServiceConfig serial = config;
         serial.stepper.threads = 1;
-        serial.stepper.stealing = false;
         const SoakResult ref = runSoak(serial, duration, "");
         bitIdentical = ref.digest == soak.digest;
         if (!bitIdentical)
             std::fprintf(stderr,
-                         "DIGEST MISMATCH: stealing=%016llx "
+                         "DIGEST MISMATCH: threaded=%016llx "
                          "serial=%016llx\n",
                          (unsigned long long)soak.digest,
                          (unsigned long long)ref.digest);

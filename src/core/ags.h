@@ -84,8 +84,8 @@ system::BatchTask makeBatchTask(const ScheduledRunSpec &spec,
                                 PlacementPlan *planOut = nullptr);
 
 /**
- * Run many independent scheduled experiments, `jobs` at a time, on a
- * system::BatchRunner thread pool.
+ * Run many independent scheduled experiments, `jobs` at a time, as one
+ * system::BatchRunner::runAll sweep.
  *
  * Results come back in `specs` order and are bit-identical for any
  * `jobs` value: every run owns a fresh Server seeded from its own spec,

@@ -1,7 +1,6 @@
 #include "stats/percentile.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.h"
 
@@ -48,97 +47,6 @@ PercentileTracker::clear()
 {
     samples_.clear();
     sorted_ = true;
-}
-
-P2Quantile::P2Quantile(double quantile)
-    : quantile_(quantile)
-{
-    fatalIf(quantile <= 0.0 || quantile >= 1.0, "quantile must be in (0,1)");
-    desired_ = {1.0, 1.0 + 2.0 * quantile_, 1.0 + 4.0 * quantile_,
-                3.0 + 2.0 * quantile_, 5.0};
-    increments_ = {0.0, quantile_ / 2.0, quantile_,
-                   (1.0 + quantile_) / 2.0, 1.0};
-}
-
-void
-P2Quantile::add(double x)
-{
-    if (count_ < 5) {
-        heights_[count_] = x;
-        ++count_;
-        if (count_ == 5) {
-            std::sort(heights_.begin(), heights_.end());
-            for (int i = 0; i < 5; ++i)
-                positions_[i] = i + 1;
-        }
-        return;
-    }
-
-    // Locate the cell containing x and update extreme markers.
-    int k = 0;
-    if (x < heights_[0]) {
-        heights_[0] = x;
-        k = 0;
-    } else if (x >= heights_[4]) {
-        heights_[4] = x;
-        k = 3;
-    } else {
-        for (int i = 0; i < 4; ++i) {
-            if (x >= heights_[i] && x < heights_[i + 1]) {
-                k = i;
-                break;
-            }
-        }
-    }
-
-    for (int i = k + 1; i < 5; ++i)
-        positions_[i] += 1.0;
-    for (int i = 0; i < 5; ++i)
-        desired_[i] += increments_[i];
-
-    // Adjust interior markers toward their desired positions with the
-    // piecewise-parabolic (P²) formula, falling back to linear moves.
-    for (int i = 1; i <= 3; ++i) {
-        const double d = desired_[i] - positions_[i];
-        const double right = positions_[i + 1] - positions_[i];
-        const double left = positions_[i - 1] - positions_[i];
-        if ((d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0)) {
-            const double sign = d >= 0 ? 1.0 : -1.0;
-            const double hp = heights_[i + 1] - heights_[i];
-            const double hm = heights_[i] - heights_[i - 1];
-            const double parabolic = heights_[i] +
-                sign / (positions_[i + 1] - positions_[i - 1]) *
-                ((positions_[i] - positions_[i - 1] + sign) * hp / right +
-                 (positions_[i + 1] - positions_[i] - sign) * hm / (-left));
-            if (heights_[i - 1] < parabolic && parabolic < heights_[i + 1]) {
-                heights_[i] = parabolic;
-            } else {
-                const int j = i + int(sign);
-                heights_[i] += sign * (heights_[j] - heights_[i]) /
-                               (positions_[j] - positions_[i]);
-            }
-            positions_[i] += sign;
-        }
-    }
-    ++count_;
-}
-
-double
-P2Quantile::value() const
-{
-    if (count_ == 0)
-        return 0.0;
-    if (count_ < 5) {
-        // Exact small-sample quantile on the sorted prefix.
-        std::array<double, 5> sorted = heights_;
-        std::sort(sorted.begin(), sorted.begin() + count_);
-        const double rank = quantile_ * double(count_ - 1);
-        const size_t lo = size_t(rank);
-        const size_t hi = std::min(lo + 1, count_ - 1);
-        const double frac = rank - double(lo);
-        return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-    }
-    return heights_[2];
 }
 
 } // namespace agsim::stats

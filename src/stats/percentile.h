@@ -1,17 +1,15 @@
 /**
  * @file
- * Percentile estimation: an exact reservoir and a streaming P² estimator.
+ * Exact percentile estimation over a stored sample set.
  *
  * The QoS path (WebSearch p90 tail latency, Fig. 17) needs percentiles over
- * bounded windows — PercentileTracker stores the window exactly. Long runs
- * that only need a single quantile (e.g. p99 droop depth across a whole
- * simulation) use the constant-memory P2Quantile.
+ * bounded windows — PercentileTracker stores the window exactly. Unbounded
+ * or sharded streams use the mergeable stats::QuantileSketch instead.
  */
 
 #ifndef AGSIM_STATS_PERCENTILE_H
 #define AGSIM_STATS_PERCENTILE_H
 
-#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -59,36 +57,6 @@ class PercentileTracker
   private:
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
-};
-
-/**
- * Streaming quantile estimator (Jain & Chlamtac's P² algorithm).
- *
- * Constant memory; accurate to a few percent for smooth distributions,
- * which is sufficient for run-level summary statistics.
- */
-class P2Quantile
-{
-  public:
-    /** @param quantile Target quantile in (0, 1), e.g. 0.9 for p90. */
-    explicit P2Quantile(double quantile);
-
-    /** Add one sample. */
-    void add(double x);
-
-    /** Current estimate; exact until five samples have been seen. */
-    double value() const;
-
-    /** Number of samples observed. */
-    size_t count() const { return count_; }
-
-  private:
-    double quantile_;
-    size_t count_ = 0;
-    std::array<double, 5> heights_{};
-    std::array<double, 5> positions_{};
-    std::array<double, 5> desired_{};
-    std::array<double, 5> increments_{};
 };
 
 } // namespace agsim::stats

@@ -6,8 +6,8 @@
  * margin floors, per-chip throughput distributions) over streams that
  * are (a) unbounded, (b) produced concurrently by independent fleet
  * shards, and (c) queried live mid-run. PercentileTracker stores every
- * sample and P2Quantile tracks a single fixed quantile, so neither
- * merges across shards; this sketch does.
+ * sample, so its memory grows with the stream; this sketch holds a
+ * bounded set of buckets and merges across shards.
  *
  * Design: logarithmic buckets with relative accuracy alpha — bucket i
  * covers (gamma^(i-1), gamma^i] with gamma = (1+alpha)/(1-alpha), so

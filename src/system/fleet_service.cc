@@ -350,7 +350,7 @@ FleetService::tick()
     fatalIf(!started_, "start() the fleet service before ticking it");
     const Seconds q = quantum();
 
-    // 1. Advance the chips (work-stealing sweep when configured).
+    // 1. Advance the chips (work-stealing sweep when threads > 1).
     stepper_.run(config_.ticksPerQuantum, config_.tickDt);
 
     // 2. Open-loop traffic for this quantum (control thread only).

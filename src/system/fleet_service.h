@@ -10,7 +10,7 @@
  * migration) happen inside the running loop. FleetService is that loop,
  * assembled from the existing pieces:
  *
- *  - execution: a FleetStepper in work-stealing mode (StealPool) sweeps
+ *  - execution: a FleetStepper (a StealPool when threads > 1) sweeps
  *    the chips in shard-granular tasks between deterministic
  *    virtual-time barriers — exact mode stays bit-identical for any
  *    thread count (tests/test_fleet_service.cc pins the digest);
@@ -82,7 +82,7 @@ struct FleetServiceConfig
     /** Base seed; server i uses seed + golden-ratio stride * (i+1). */
     uint64_t seed = 0x5EEDFEEDu;
 
-    /** Executor configuration (threads/stealing/sampling/...). */
+    /** Executor configuration (threads/shardSize/sampling/...). */
     FleetStepperConfig stepper;
     /** Chip simulation step. */
     Seconds tickDt = Seconds{1e-3};

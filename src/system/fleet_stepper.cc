@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <thread>
 
 #include "common/error.h"
@@ -87,10 +88,16 @@ FleetStepper::freeze()
         return;
     frozen_ = true;
     fatalIf(slots_.empty(), "fleet has no chips");
+    const size_t shards =
+        (slots_.size() + config_.shardSize - 1) / config_.shardSize;
+    const size_t threads =
+        config_.threads == 0
+            ? std::max(1u, std::thread::hardware_concurrency())
+            : config_.threads;
+    if (std::min(threads, shards) > 1)
+        pool_ = std::make_unique<StealPool>(std::min(threads, shards));
     telemetryOn_ = hub_ != nullptr && hub_->enabled();
     if (telemetryOn_) {
-        const size_t shards =
-            (slots_.size() + config_.shardSize - 1) / config_.shardSize;
         tsMargin_ = hub_->declareSeries("fleet.margin", shards);
         tsFreq_ = hub_->declareSeries("fleet.freq_ghz", shards);
         tsPower_ = hub_->declareSeries("fleet.power_w", shards);
@@ -352,79 +359,41 @@ FleetStepper::run(int64_t ticks, Seconds dt)
 {
     panicIf(ticks < 0, "fleet run needs a non-negative tick count");
     freeze();
-    const int64_t block = config_.tickBlock;
-    size_t threads = config_.threads == 0
-                         ? std::max(1u, std::thread::hardware_concurrency())
-                         : config_.threads;
-    threads = std::min(threads, slots_.size());
-
-    for (int64_t done = 0; done < ticks; done += block) {
-        const int64_t n = std::min(block, ticks - done);
-        obs::ScopedTimer timer(obsSweepTimer_);
-        int64_t exact = 0;
-        int64_t forwarded = 0;
-        if (threads <= 1) {
-            for (Slot &slot : slots_)
-                stepChipBlock(slot, n, dt, exact, forwarded);
-        } else if (config_.stealing) {
-            // Shard-granular work-stealing sweep: task = one shard, so
-            // every telemetry shard lane still has exactly one writer
-            // per barrier, and the pool's mutexes order barrier N's
-            // writes before barrier N+1's (lanes may hop threads
-            // between barriers, never within one).
-            if (pool_ == nullptr)
-                pool_ = std::make_unique<StealPool>(threads);
-            const size_t shards =
-                (slots_.size() + config_.shardSize - 1) /
-                config_.shardSize;
-            std::vector<int64_t> exactPer(pool_->threadCount(), 0);
-            std::vector<int64_t> forwardedPer(pool_->threadCount(), 0);
-            pool_->sweep(shards, [this, n, dt, &exactPer, &forwardedPer](
-                                     size_t worker, size_t shard) {
-                const size_t lo = shard * config_.shardSize;
-                const size_t hi =
-                    std::min(slots_.size(), lo + config_.shardSize);
-                for (size_t i = lo; i < hi; ++i) {
-                    stepChipBlock(slots_[i], n, dt, exactPer[worker],
-                                  forwardedPer[worker]);
-                }
-            });
-            for (size_t t = 0; t < pool_->threadCount(); ++t) {
-                exact += exactPer[t];
-                forwarded += forwardedPer[t];
-            }
-        } else {
-            // Chips are independent; disjoint contiguous ranges per
-            // worker are bit-identical to the serial sweep. Ranges are
-            // rounded up to shard boundaries so every telemetry shard
-            // lane keeps exactly one writer thread.
-            std::vector<std::thread> pool;
-            std::vector<int64_t> exactPer(threads, 0);
-            std::vector<int64_t> forwardedPer(threads, 0);
-            size_t stride = (slots_.size() + threads - 1) / threads;
-            stride = (stride + config_.shardSize - 1) /
-                     config_.shardSize * config_.shardSize;
-            for (size_t t = 0; t < threads; ++t) {
-                const size_t lo = t * stride;
-                const size_t hi = std::min(slots_.size(),
-                                           lo + stride);
-                if (lo >= hi)
-                    break;
-                pool.emplace_back([this, lo, hi, n, dt, t, &exactPer,
-                                   &forwardedPer] {
-                    for (size_t i = lo; i < hi; ++i) {
-                        stepChipBlock(slots_[i], n, dt, exactPer[t],
-                                      forwardedPer[t]);
-                    }
-                });
-            }
-            for (auto &worker : pool)
-                worker.join();
-            for (size_t t = 0; t < threads; ++t) {
-                exact += exactPer[t];
-                forwarded += forwardedPer[t];
-            }
+    const size_t shards =
+        (slots_.size() + config_.shardSize - 1) / config_.shardSize;
+    const size_t workers = pool_ != nullptr ? pool_->threadCount() : 1;
+    std::vector<int64_t> exactPer(workers);
+    std::vector<int64_t> forwardedPer(workers);
+    int64_t n = 0;
+    // One task per shard: every telemetry shard lane has exactly one
+    // writer per tick block, and the pool's barrier orders block N's
+    // writes before block N+1's (lanes may hop threads between blocks,
+    // never within one). Chips are independent, so any assignment of
+    // shards to workers is bit-identical to the inline loop.
+    const StealPool::TaskFn stepShard = [&](size_t worker, size_t shard) {
+        const size_t lo = shard * config_.shardSize;
+        const size_t hi = std::min(slots_.size(), lo + config_.shardSize);
+        for (size_t i = lo; i < hi; ++i) {
+            stepChipBlock(slots_[i], n, dt, exactPer[worker],
+                          forwardedPer[worker]);
         }
+    };
+
+    for (int64_t done = 0; done < ticks; done += config_.tickBlock) {
+        n = std::min(config_.tickBlock, ticks - done);
+        obs::ScopedTimer timer(obsSweepTimer_);
+        std::fill(exactPer.begin(), exactPer.end(), 0);
+        std::fill(forwardedPer.begin(), forwardedPer.end(), 0);
+        if (pool_ == nullptr) {
+            for (size_t shard = 0; shard < shards; ++shard)
+                stepShard(0, shard);
+        } else {
+            pool_->sweep(shards, stepShard);
+        }
+        const int64_t exact =
+            std::accumulate(exactPer.begin(), exactPer.end(), int64_t(0));
+        const int64_t forwarded = std::accumulate(
+            forwardedPer.begin(), forwardedPer.end(), int64_t(0));
         // Batched: two registry touches per block, not per chip-step.
         exactSteps_ += exact;
         fastForwardedTicks_ += forwarded;

@@ -14,7 +14,9 @@
  *    the sweep moves on, so its hot lanes stay resident in L1 instead
  *    of being evicted N-1 times per tick. Bit-identical to stepping
  *    every chip serially: same model code, same per-chip RNG streams.
- *    Multiple worker threads split the shard list on multicore hosts.
+ *    With threads > 1, each tick block is one StealPool sweep with one
+ *    task per shard; with threads <= 1 the same per-shard body runs
+ *    inline on the caller.
  *
  *  - *Sampled stepping*: a per-chip steady-state detector watches a
  *    window of exact steps (margin variance/drift, frequency spread,
@@ -70,9 +72,10 @@ struct FleetStepperConfig
     /** Chips per shard (progress-reporting / timer granularity). */
     size_t shardSize = 64;
     /**
-     * Worker threads sweeping disjoint chip ranges; 0 = hardware
-     * concurrency. Chips are independent, so any thread count is
-     * bit-identical to serial.
+     * StealPool workers sweeping shard tasks (capped at the shard
+     * count); 0 = hardware concurrency, 1 = inline on the caller.
+     * Chips are independent, so any thread count is bit-identical to
+     * serial.
      */
     size_t threads = 1;
     /**
@@ -85,14 +88,9 @@ struct FleetStepperConfig
     /** Enable phase-sampled fast-forward (approximate; see file doc). */
     bool sampling = false;
     /**
-     * With threads > 1, execute each tick block as a work-stealing
-     * sweep over shard-granular tasks (persistent StealPool) instead of
-     * the static contiguous split. Bit-identical to both the serial and
-     * static-split sweeps — shards are mutually independent, so only
-     * the worker-to-shard assignment changes — but resilient to the
-     * load imbalance sampled mode creates (a quiescent shard is far
-     * cheaper than one riding a transient). The continuous fleet
-     * service turns this on; finite benches keep the static split.
+     * Has no effect: every threads > 1 run is a work-stealing sweep.
+     * Kept only because agbench/ still assigns it; delete it together
+     * with those assignments.
      */
     bool stealing = false;
     PhaseDetectorParams detector;
@@ -142,10 +140,10 @@ class FleetStepper
 
     /**
      * Advance every chip by `ticks` steps of dt — the fleet-bench entry
-     * point (temporal blocking; sampling when configured). Spawns and
-     * joins the worker pool internally, so from the caller's view this
-     * is control-thread code; workers touch only their own disjoint,
-     * shard-aligned slot ranges (no locks needed or taken).
+     * point (temporal blocking; sampling when configured). Each tick
+     * block is one barrier sweep on the stepper's pool, so from the
+     * caller's view this is control-thread code; a task touches only
+     * its own shard's slots (no locks needed or taken).
      */
     AG_CONTROL_THREAD
     void run(int64_t ticks, Seconds dt);
@@ -161,9 +159,9 @@ class FleetStepper
     /**
      * Attach the streaming telemetry plane (optional; may be null).
      * Must happen before the first run()/step(): freeze() declares the
-     * fleet series with one single-writer lane per chip shard, and the
-     * worker split is aligned to shard boundaries so each lane keeps
-     * exactly one writer thread. The hub must outlive the stepper.
+     * fleet series with one single-writer lane per chip shard, and each
+     * sweep task is one shard, so each lane has exactly one writer
+     * thread per tick block. The hub must outlive the stepper.
      * A disabled hub leaves the sweep bit-identical and branch-cheap.
      */
     void setTelemetry(obs::telemetry::TelemetryHub *hub);
@@ -174,7 +172,7 @@ class FleetStepper
     /** Ticks consumed by fast-forward spans so far. */
     int64_t fastForwardedTicks() const { return fastForwardedTicks_; }
 
-    /** Shard tasks stolen so far (0 unless config().stealing). */
+    /** Shard tasks stolen so far (0 when stepping inline). */
     int64_t stealCount() const
     {
         return pool_ != nullptr ? pool_->steals() : 0;
@@ -209,7 +207,10 @@ class FleetStepper
         Seconds nextSampleAt = Seconds{0.0};
     };
 
-    /** Adopt all chips into one SoA arena (first run/step). */
+    /**
+     * Adopt all chips into one SoA arena and build the worker pool
+     * (first run/step).
+     */
     void freeze();
 
     /** Advance one chip by `ticks` (detector + fast-forward inside). */
@@ -243,7 +244,7 @@ class FleetStepper
     std::vector<Slot> slots_;
     std::shared_ptr<chip::ChipStateSoA> arena_;
     bool frozen_ = false;
-    /** Lazily-built persistent worker pool (config_.stealing only). */
+    /** Persistent worker pool; null when stepping inline. */
     std::unique_ptr<StealPool> pool_;
 
     int64_t exactSteps_ = 0;

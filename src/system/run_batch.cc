@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <memory>
+#include <thread>
 
 #include "common/error.h"
 #include "fault/fault_injector.h"
 #include "obs/observability.h"
+#include "system/steal_pool.h"
 
 namespace agsim::system {
 
@@ -14,9 +17,9 @@ namespace {
 
 /**
  * Closes the task's trace timeline on every exit path. A throwing
- * sim.run (swallowed by a ContinueOnError batch) used to leave an
- * orphan TaskBegin with no TaskEnd, so trace consumers saw the task as
- * still running; the guard emits an error-tagged TaskEnd instead.
+ * sim.run (swallowed by runAllPartial) used to leave an orphan
+ * TaskBegin with no TaskEnd, so trace consumers saw the task as still
+ * running; the guard emits an error-tagged TaskEnd instead.
  */
 class TaskEndGuard
 {
@@ -143,149 +146,46 @@ exceptionMessage(const std::exception_ptr &error)
     }
 }
 
-} // namespace
-
-BatchRunner::BatchRunner(size_t workers, BatchErrorPolicy policy)
-    : policy_(policy)
+/** Every task's result slot and captured failure, in task order. */
+struct SweepSlots
 {
-    if (workers == 0)
-        workers = hardwareWorkers();
-    workers_.reserve(workers);
-    for (size_t i = 0; i < workers; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
+    std::vector<BatchResult> results;
+    std::vector<std::exception_ptr> errors;
+};
 
-BatchRunner::~BatchRunner()
+/**
+ * Run every task as one sweep over task indices, catching each task's
+ * exception into its own slot. One worker (or one task) runs inline.
+ */
+SweepSlots
+sweepTasks(const std::vector<BatchTask> &tasks, size_t workers)
 {
-    {
-        ag::MutexLock lock(mutex_);
-        stopping_ = true;
-    }
-    workReady_.notify_all();
-    for (auto &worker : workers_)
-        worker.join();
-}
-
-size_t
-BatchRunner::submit(BatchTask task)
-{
-    size_t index;
-    {
-        ag::MutexLock lock(mutex_);
-        index = submitted_++;
-        results_.resize(submitted_);
-        errors_.resize(submitted_);
-        taskLabels_.resize(submitted_);
-        taskLabels_[index] = task.label;
-        queue_.emplace_back(index, std::move(task));
-    }
-    workReady_.notify_one();
-    return index;
-}
-
-BatchRunner::Round
-BatchRunner::collectRound()
-{
-    Round round;
-    ag::UniqueLock lock(mutex_);
-    // Explicit wait loop (not a predicate lambda): thread-safety
-    // analysis treats lambdas as separate functions, so the loop form
-    // is what lets the guarded reads stay visibly under mutex_.
-    while (completed_ != submitted_)
-        roundDone_.wait(lock);
-    round.results = std::move(results_);
-    round.errors = std::move(errors_);
-    round.labels = std::move(taskLabels_);
-    results_.clear();
-    errors_.clear();
-    taskLabels_.clear();
-    submitted_ = 0;
-    completed_ = 0;
-    lastErrors_.clear();
-    return round;
-}
-
-std::vector<BatchTaskError>
-BatchRunner::captureErrors(const Round &round)
-{
-    std::vector<BatchTaskError> captured;
-    for (size_t i = 0; i < round.errors.size(); ++i) {
-        if (!round.errors[i])
-            continue;
-        captured.push_back({i, round.labels[i],
-                            exceptionMessage(round.errors[i])});
-    }
-    return captured;
-}
-
-std::vector<BatchResult>
-BatchRunner::wait()
-{
-    Round round = collectRound();
-    if (policy_ == BatchErrorPolicy::AbortOnFirstError) {
-        for (const auto &error : round.errors) {
-            if (error)
-                std::rethrow_exception(error);
-        }
-    } else {
-        lastErrors_ = captureErrors(round);
-    }
-    return std::move(round.results);
-}
-
-BatchOutcome
-BatchRunner::waitOutcome()
-{
-    Round round = collectRound();
-    BatchOutcome outcome;
-    outcome.errors = captureErrors(round);
-    outcome.results = std::move(round.results);
-    if (policy_ == BatchErrorPolicy::ContinueOnError)
-        lastErrors_ = outcome.errors;
-    return outcome;
-}
-
-void
-BatchRunner::workerLoop()
-{
-    for (;;) {
-        size_t index = 0;
-        BatchTask task;
-        {
-            ag::UniqueLock lock(mutex_);
-            while (!stopping_ && queue_.empty())
-                workReady_.wait(lock);
-            if (queue_.empty()) {
-                // stopping_ with a drained queue: pool shutdown.
-                return;
-            }
-            index = queue_.front().first;
-            task = std::move(queue_.front().second);
-            queue_.pop_front();
-        }
-
-        BatchResult result;
-        std::exception_ptr error;
+    SweepSlots slots;
+    slots.results.resize(tasks.size());
+    slots.errors.resize(tasks.size());
+    const StealPool::TaskFn runOne = [&](size_t, size_t i) {
         try {
-            obs::TaskIdScope scope{int32_t(index)};
-            result = runBatchTask(task);
+            obs::TaskIdScope scope{int32_t(i)};
+            slots.results[i] = runBatchTask(tasks[i]);
         } catch (...) {
-            error = std::current_exception();
+            slots.errors[i] = std::current_exception();
             obs::registry().counter("batch.task_failures").add();
         }
-
-        bool done = false;
-        {
-            ag::MutexLock lock(mutex_);
-            results_[index] = std::move(result);
-            errors_[index] = error;
-            ++completed_;
-            done = completed_ == submitted_;
-        }
-        if (done)
-            roundDone_.notify_all();
+    };
+    if (workers == 0)
+        workers = BatchRunner::hardwareWorkers();
+    workers = std::min(workers, tasks.size());
+    if (workers <= 1) {
+        for (size_t i = 0; i < tasks.size(); ++i)
+            runOne(0, i);
+    } else {
+        StealPool pool(workers);
+        pool.sweep(tasks.size(), runOne);
     }
+    return slots;
 }
+
+} // namespace
 
 size_t
 BatchRunner::hardwareWorkers()
@@ -297,50 +197,27 @@ BatchRunner::hardwareWorkers()
 std::vector<BatchResult>
 BatchRunner::runAll(std::vector<BatchTask> tasks, size_t workers)
 {
-    if (workers == 0)
-        workers = hardwareWorkers();
-    if (workers == 1 || tasks.size() <= 1) {
-        // Inline serial path: identical construction/run order, no
-        // thread machinery (also the 1-core fallback).
-        std::vector<BatchResult> results;
-        results.reserve(tasks.size());
-        for (size_t i = 0; i < tasks.size(); ++i) {
-            obs::TaskIdScope scope{int32_t(i)};
-            results.push_back(runBatchTask(tasks[i]));
-        }
-        return results;
+    SweepSlots slots = sweepTasks(tasks, workers);
+    for (const std::exception_ptr &error : slots.errors) {
+        if (error)
+            std::rethrow_exception(error);
     }
-    BatchRunner runner(std::min(workers, tasks.size()));
-    for (auto &task : tasks)
-        runner.submit(std::move(task));
-    return runner.wait();
+    return std::move(slots.results);
 }
 
 BatchOutcome
 BatchRunner::runAllPartial(std::vector<BatchTask> tasks, size_t workers)
 {
-    if (workers == 0)
-        workers = hardwareWorkers();
-    if (workers == 1 || tasks.size() <= 1) {
-        // Inline serial path, mirroring runAll's 1-worker behaviour.
-        BatchOutcome outcome;
-        outcome.results.resize(tasks.size());
-        for (size_t i = 0; i < tasks.size(); ++i) {
-            try {
-                obs::TaskIdScope scope{int32_t(i)};
-                outcome.results[i] = runBatchTask(tasks[i]);
-            } catch (const std::exception &e) {
-                outcome.errors.push_back({i, tasks[i].label, e.what()});
-                obs::registry().counter("batch.task_failures").add();
-            }
+    SweepSlots slots = sweepTasks(tasks, workers);
+    BatchOutcome outcome;
+    outcome.results = std::move(slots.results);
+    for (size_t i = 0; i < tasks.size(); ++i) {
+        if (slots.errors[i]) {
+            outcome.errors.push_back(
+                {i, tasks[i].label, exceptionMessage(slots.errors[i])});
         }
-        return outcome;
     }
-    BatchRunner runner(std::min(workers, tasks.size()),
-                       BatchErrorPolicy::ContinueOnError);
-    for (auto &task : tasks)
-        runner.submit(std::move(task));
-    return runner.waitOutcome();
+    return outcome;
 }
 
 } // namespace agsim::system

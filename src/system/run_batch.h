@@ -1,7 +1,7 @@
 /**
  * @file
- * Parallel experiment runner: a fixed-size thread pool that executes
- * independent full simulations concurrently.
+ * Parallel experiment runner: executes independent full simulations
+ * concurrently as one StealPool sweep over task indices.
  *
  * Every paper figure replays many *independent* runs back-to-back
  * (frequency sweeps, core-count sweeps, workload libraries, mapping
@@ -14,8 +14,14 @@
  *    simulation, and snapshots the end state. Nothing is shared between
  *    tasks, so results are bit-identical to serial execution regardless
  *    of worker count or completion order.
- *  - BatchRunner: a fixed-size std::thread pool draining a FIFO work
- *    queue. Results come back in submission order.
+ *  - BatchRunner::runAll / runAllPartial: run a vector of tasks on a
+ *    transient StealPool (system/steal_pool.h, the tree's one
+ *    executor), catching each task's exception into its own slot.
+ *    Results come back in submission order; `workers == 1` runs
+ *    inline on the caller. There is no runner object to keep: a
+ *    batch is one call. BatchRunner stays a class of static entry
+ *    points only because the agbench/ harness calls
+ *    BatchRunner::runAll by that name.
  *
  * Determinism contract: a task's outcome is a pure function of the
  * BatchTask contents (all randomness is seeded through
@@ -28,14 +34,9 @@
 #define AGSIM_SYSTEM_RUN_BATCH_H
 
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
-
-#include "common/thread_annotations.h"
 
 #include "chip/chip_health.h"
 #include "fault/fault_plan.h"
@@ -74,27 +75,10 @@ struct BatchTask
     std::string label;
 };
 
-/** How the runner handles a task that throws. */
-enum class BatchErrorPolicy
-{
-    /**
-     * wait() rethrows the first failure (submission order) and the
-     * whole round's results are discarded — the historical behaviour,
-     * right for experiments where any failure invalidates the sweep.
-     */
-    AbortOnFirstError,
-    /**
-     * wait() never throws: failed tasks leave default-constructed
-     * result slots and are reported through lastErrors()/waitOutcome(),
-     * so one bad point no longer discards a whole sweep.
-     */
-    ContinueOnError,
-};
-
-/** One captured task failure (ContinueOnError). */
+/** One captured task failure (runAllPartial). */
 struct BatchTaskError
 {
-    /** Submission index of the failed task this round. */
+    /** Submission index of the failed task. */
     size_t taskIndex = 0;
     /** The task's label. */
     std::string label;
@@ -125,7 +109,7 @@ struct BatchResult
     Seconds wallTime = Seconds{0.0};
 };
 
-/** Results plus captured failures for one round. */
+/** Results plus captured failures for one batch. */
 struct BatchOutcome
 {
     /**
@@ -143,127 +127,46 @@ struct BatchOutcome
 /**
  * Execute one task synchronously on the calling thread.
  *
- * This is the single execution path: BatchRunner workers call exactly
- * this function, which is what guarantees serial/parallel parity.
+ * This is the single execution path: every BatchRunner sweep task calls
+ * exactly this function, which is what guarantees serial/parallel
+ * parity.
  */
 BatchResult runBatchTask(const BatchTask &task);
 
 /**
- * Fixed-size thread pool with a FIFO work queue.
+ * Batch entry points (static only; a batch is one call).
  *
  * Usage:
- *   BatchRunner runner(4);
- *   for (auto &task : tasks) runner.submit(std::move(task));
- *   std::vector<BatchResult> results = runner.wait();
- *
- * wait() returns results in submission order and resets the runner for
- * another round of submissions; workers persist until destruction.
+ *   std::vector<BatchResult> results =
+ *       BatchRunner::runAll(std::move(tasks), 4);
  */
 class BatchRunner
 {
   public:
-    /**
-     * @param workers Pool size; 0 means hardwareWorkers(). A size of 1
-     *        still runs tasks on a (single) worker thread.
-     * @param policy What to do when a task throws; see BatchErrorPolicy.
-     */
-    explicit BatchRunner(size_t workers = 0,
-                         BatchErrorPolicy policy =
-                             BatchErrorPolicy::AbortOnFirstError);
-
-    /** Joins the pool (any unconsumed results are discarded). */
-    ~BatchRunner();
-
-    BatchRunner(const BatchRunner &) = delete;
-    BatchRunner &operator=(const BatchRunner &) = delete;
-
-    /** Threads in the pool. */
-    size_t workerCount() const { return workers_.size(); }
-
-    /** Enqueue a task; returns its submission index for this round. */
-    size_t submit(BatchTask task);
-
-    /** The error policy this runner was built with. */
-    BatchErrorPolicy errorPolicy() const { return policy_; }
-
-    /**
-     * Block until every submitted task finished; returns the results in
-     * submission order and resets the round.
-     *
-     * Under AbortOnFirstError (the default), if any task threw the
-     * first exception (in submission order) is rethrown. Under
-     * ContinueOnError nothing is rethrown: failed tasks leave
-     * default-constructed result slots and their captured errors are
-     * available from lastErrors() until the next wait().
-     */
-    std::vector<BatchResult> wait();
-
-    /**
-     * Like wait(), but never throws for task failures regardless of
-     * policy: results and captured errors come back together.
-     */
-    BatchOutcome waitOutcome();
-
-    /**
-     * Errors captured by the most recent wait()/waitOutcome() round
-     * (ContinueOnError only; empty under AbortOnFirstError).
-     */
-    const std::vector<BatchTaskError> &lastErrors() const
-    {
-        return lastErrors_;
-    }
+    BatchRunner() = delete;
 
     /** Default pool size: the machine's hardware concurrency (>= 1). */
     static size_t hardwareWorkers();
 
     /**
-     * Convenience: run `tasks` on a transient pool and return results
-     * in submission order. `workers == 1` executes inline on the
+     * Run `tasks` and return results in submission order. Every task
+     * runs even if one throws; the first failure in submission order
+     * is then rethrown and the results are discarded — right for
+     * sweeps where any failure invalidates the figure. `workers == 0`
+     * means hardwareWorkers(); `workers == 1` executes inline on the
      * calling thread (no pool), which is byte-for-byte the serial path.
      */
     static std::vector<BatchResult> runAll(std::vector<BatchTask> tasks,
                                            size_t workers = 0);
 
     /**
-     * Convenience: run `tasks` with ContinueOnError semantics on a
-     * transient pool, returning partial results plus captured errors.
-     * `workers == 1` executes inline on the calling thread.
+     * Run `tasks` without throwing for task failures: a failed task
+     * leaves a default-constructed result slot and its error appears
+     * in the outcome, so one bad point does not discard a whole sweep.
+     * Workers as for runAll.
      */
     static BatchOutcome runAllPartial(std::vector<BatchTask> tasks,
                                       size_t workers = 0);
-
-  private:
-    /** One finished round's raw state, moved out under the lock. */
-    struct Round
-    {
-        std::vector<BatchResult> results;
-        std::vector<std::exception_ptr> errors;
-        std::vector<std::string> labels;
-    };
-
-    void workerLoop();
-    Round collectRound();
-    static std::vector<BatchTaskError> captureErrors(const Round &round);
-
-    const BatchErrorPolicy policy_;
-    ag::Mutex mutex_;
-    ag::CondVar workReady_;
-    ag::CondVar roundDone_;
-    std::deque<std::pair<size_t, BatchTask>> queue_ AG_GUARDED_BY(mutex_);
-    std::vector<BatchResult> results_ AG_GUARDED_BY(mutex_);
-    std::vector<std::exception_ptr> errors_ AG_GUARDED_BY(mutex_);
-    std::vector<std::string> taskLabels_ AG_GUARDED_BY(mutex_);
-    /**
-     * Owned by the caller thread between rounds: written only inside
-     * wait()/waitOutcome() after the round barrier, read through
-     * lastErrors() before the next submit — never touched by workers.
-     */
-    std::vector<BatchTaskError> lastErrors_;
-    size_t submitted_ AG_GUARDED_BY(mutex_) = 0;
-    size_t completed_ AG_GUARDED_BY(mutex_) = 0;
-    bool stopping_ AG_GUARDED_BY(mutex_) = false;
-    /** Written in the constructor, joined in the destructor only. */
-    std::vector<std::thread> workers_;
 };
 
 } // namespace agsim::system

@@ -1,6 +1,7 @@
 #include "system/steal_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 
@@ -29,30 +30,40 @@ StealPool::~StealPool()
 }
 
 void
+StealPool::setWakeHookForTest(WakeHook hook)
+{
+    ag::MutexLock lock(mutex_);
+    wakeHook_ = std::move(hook);
+}
+
+void
 StealPool::sweep(size_t taskCount, const TaskFn &fn)
 {
     if (taskCount == 0)
         return;
 
-    // Seed the deques with contiguous chunks: worker w starts on the
-    // same task range the static splitter would give it, so stealing
-    // only kicks in when the load is actually imbalanced.
+    ag::UniqueLock lock(mutex_);
+    // Tasks, body and generation go out in one critical section: a
+    // worker only reaches the deques after joining under mutex_, so it
+    // can never pair this sweep's tasks with another sweep's body.
+    // Each worker's seed chunk is a contiguous range, so stealing only
+    // kicks in when the load is actually imbalanced.
     const size_t workers = deques_.size();
     const size_t chunk = (taskCount + workers - 1) / workers;
     for (size_t w = 0; w < workers; ++w) {
         const size_t begin = std::min(taskCount, w * chunk);
         const size_t end = std::min(taskCount, begin + chunk);
-        ag::MutexLock lock(deques_[w]->mutex);
+        ag::MutexLock dequeLock(deques_[w]->mutex);
         for (size_t task = begin; task < end; ++task)
             deques_[w]->tasks.push_back(task);
     }
-
-    ag::UniqueLock lock(mutex_);
     fn_ = &fn;
     tasksLeft_ = taskCount;
     ++generation_;
     workCv_.notify_all();
-    while (tasksLeft_ != 0)
+    // Every task done is not enough: a worker that joined late may
+    // still hold `fn` while it finds the deques empty.
+    while (tasksLeft_ != 0 || holders_ != 0)
         doneCv_.wait(lock);
     fn_ = nullptr;
     ++sweeps_;
@@ -111,30 +122,38 @@ StealPool::workerLoop(size_t self)
     uint64_t seenGeneration = 0;
     for (;;) {
         const TaskFn *fn = nullptr;
+        const WakeHook *hook = nullptr;
         {
             ag::UniqueLock lock(mutex_);
-            while (!shutdown_ && generation_ == seenGeneration)
+            // A null body means the sweep this wake-up was for already
+            // finished without us: wait for the next one.
+            while (!shutdown_ &&
+                   (generation_ == seenGeneration || fn_ == nullptr))
                 workCv_.wait(lock);
             if (shutdown_)
                 return;
             seenGeneration = generation_;
             fn = fn_;
+            ++holders_;
+            if (wakeHook_)
+                hook = &wakeHook_;
         }
+        if (hook != nullptr)
+            (*hook)(self);
         // Drain: own deque first, then steal. No task is added to any
-        // deque after the generation starts, so one full empty scan
-        // means this sweep has no unclaimed work left.
+        // deque while this sweep holds a joined worker, so one full
+        // empty scan means the sweep has no unclaimed work left.
         size_t finished = 0;
         size_t task = 0;
         while (popOwn(self, task) || stealInto(self, task)) {
             (*fn)(self, task);
             ++finished;
         }
-        if (finished > 0) {
-            ag::MutexLock lock(mutex_);
-            tasksLeft_ -= finished;
-            if (tasksLeft_ == 0)
-                doneCv_.notify_all();
-        }
+        ag::MutexLock lock(mutex_);
+        tasksLeft_ -= finished;
+        --holders_;
+        if (tasksLeft_ == 0 && holders_ == 0)
+            doneCv_.notify_all();
     }
 }
 

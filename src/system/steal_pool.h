@@ -1,34 +1,48 @@
 /**
  * @file
- * Persistent work-stealing task pool for fleet shard sweeps.
+ * Persistent work-stealing task pool: the one executor for parallel
+ * work in the tree.
  *
- * FleetStepper's original threading model split the shard list into
- * fixed contiguous ranges, one per worker spawned fresh every tick
- * block. That is fine for uniform fleets and finite benches, but the
- * continuous service (system::FleetService) breaks both assumptions:
- * sampled fast-forward makes per-shard cost wildly non-uniform (a
- * quiescent shard is ~100x cheaper than one riding a droop storm), and
- * a long-lived service would pay thread spawn/join on every control
- * quantum forever.
+ * Two kinds of work run on it. FleetStepper sweeps chip shards once
+ * per tick block (threads > 1), and BatchRunner::runAll/runAllPartial
+ * sweep over independent experiment tasks (workers > 1). No switch
+ * selects it: FleetStepperConfig::stealing has no effect and is kept
+ * only because the agbench/ harness still assigns it. Both are
+ * barriers of mutually independent tasks whose cost can be wildly
+ * non-uniform: under sampled fast-forward a quiescent shard is ~100x
+ * cheaper than one riding a droop storm, and figure sweeps mix runs of
+ * very different lengths. A long-lived service would also pay thread
+ * spawn/join on every control quantum if workers were not persistent.
  *
  * StealPool keeps one set of parked worker threads for the life of the
  * owner and executes "sweeps": a batch of identically-shaped tasks
- * (shard indices) distributed into per-worker deques as contiguous
- * chunks (locality), drained from the front by the owner and stolen
+ * distributed into per-worker deques as contiguous chunks (locality),
+ * drained from the front by the deque's own worker and stolen
  * half-at-a-time from the back by idle workers. A sweep is a barrier:
  * sweep() returns only after every task ran, which is what makes the
  * virtual-time semantics of the fleet loop hold (no shard can be at
  * tick-block N+1 while another is still at N).
  *
  * Determinism: tasks are mutually independent by contract (fleet
- * shards touch disjoint chip state and disjoint telemetry lanes), so
- * the assignment of tasks to workers — the only thing stealing
- * randomizes — cannot change any simulation result. Exact-mode fleet
- * sweeps are bit-identical for threads=1, static split, or stealing
- * (tests/test_steal_pool.cc, tests/test_fleet_service.cc).
+ * shards touch disjoint chip state and disjoint telemetry lanes; batch
+ * tasks build private servers), so the assignment of tasks to workers
+ * — the only thing stealing randomizes — cannot change any result.
+ * Exact-mode fleet sweeps and batch sweeps are bit-identical at any
+ * thread count (tests/test_fleet_stepper.cc, tests/test_run_batch.cc,
+ * tests/test_fleet_service.cc).
  *
- * Memory ordering: all handoff (generation start, completion count)
- * happens under one mutex, and task transfer happens under the
+ * Sweep handshake: sweep() publishes the tasks, the body and the new
+ * generation in one critical section (lock order: mutex_, then a deque
+ * mutex), so a worker can only ever find a sweep's tasks together with
+ * that sweep's body. A worker joins a sweep under mutex_ (reading the
+ * body and counting itself in holders_) and leaves it under mutex_;
+ * sweep() returns only when every task finished *and* every worker
+ * that joined has left, so no worker still holds the body of a sweep
+ * that returned. A worker that wakes after its sweep already finished
+ * finds the body reset to null and goes back to waiting.
+ *
+ * Memory ordering: all handoff (generation start, joins, completion
+ * count) happens under one mutex, and task transfer happens under the
  * per-deque mutexes, so every task's effects happen-before sweep()
  * returns, and sweep() N's effects happen-before sweep N+1's tasks —
  * the chain that lets a telemetry lane change its writer thread
@@ -88,6 +102,18 @@ class StealPool
     /** Barrier sweeps completed. */
     int64_t sweeps() const { return sweeps_; }
 
+    /** Called on a worker with its index; see setWakeHookForTest. */
+    using WakeHook = std::function<void(size_t worker)>;
+
+    /**
+     * Test seam: run `hook` on a worker right after it joins a sweep
+     * and before it takes a task, outside every pool lock, so a test
+     * can stall a worker and force a late-wake interleaving. Empty
+     * (the default) is a no-op. Call only between sweeps.
+     */
+    AG_CONTROL_THREAD
+    void setWakeHookForTest(WakeHook hook);
+
   private:
     /** One worker's deque; the owner pops the front, thieves the back. */
     struct WorkerDeque
@@ -117,8 +143,11 @@ class StealPool
     uint64_t generation_ AG_GUARDED_BY(mutex_) = 0;
     /** Tasks not yet finished in the current sweep. */
     size_t tasksLeft_ AG_GUARDED_BY(mutex_) = 0;
-    /** The sweep's task body (valid while tasksLeft_ > 0). */
+    /** Workers that joined the current sweep and have not left it. */
+    size_t holders_ AG_GUARDED_BY(mutex_) = 0;
+    /** The sweep's task body; null between sweeps. */
     const TaskFn *fn_ AG_GUARDED_BY(mutex_) = nullptr;
+    WakeHook wakeHook_ AG_GUARDED_BY(mutex_);
     bool shutdown_ AG_GUARDED_BY(mutex_) = false;
 
     std::atomic<int64_t> steals_{0};

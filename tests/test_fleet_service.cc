@@ -57,7 +57,6 @@ TEST(FleetService, ExactModeBitIdenticalAcrossThreadCounts)
     {
         FleetServiceConfig config = baseConfig();
         config.stepper.threads = 4;
-        config.stepper.stealing = true;
         config.stepper.shardSize = 2; // force several tasks per sweep
         FleetService service(config);
         service.start();

@@ -183,20 +183,52 @@ TEST(FleetStepperExact, ShardSweepIsBitIdenticalToSerialStepping)
 
 TEST(FleetStepperExact, ThreadedSweepIsBitIdenticalToSerialStepping)
 {
-    Fleet serial;
-    Fleet fleet;
+    {
+        Fleet serial;
+        Fleet fleet;
 
-    FleetStepperConfig config;
-    config.sampling = false;
-    config.threads = 2;
-    FleetStepper stepper(config);
-    for (auto &c : fleet.chips)
-        stepper.addChip(c.get());
+        FleetStepperConfig config;
+        config.sampling = false;
+        config.threads = 2;
+        FleetStepper stepper(config);
+        for (auto &c : fleet.chips)
+            stepper.addChip(c.get());
 
-    serial.stepSerial(300);
-    stepper.run(300, kDt);
+        serial.stepSerial(300);
+        stepper.run(300, kDt);
 
-    expectBitIdentical(serial, fleet);
+        expectBitIdentical(serial, fleet);
+    }
+    {
+        // Sampled mode on 3 workers over 2-chip shards: fast-forward
+        // makes shard costs uneven, so workers steal, and the result
+        // must still match a serial sampled run bit for bit.
+        Fleet serial;
+        Fleet fleet;
+        serial.settle();
+        fleet.settle();
+
+        FleetStepperConfig config;
+        config.sampling = true;
+        config.shardSize = 2;
+        FleetStepperConfig threaded = config;
+        threaded.threads = 3;
+        FleetStepper serialStepper(config);
+        FleetStepper stepper(threaded);
+        for (auto &c : serial.chips)
+            serialStepper.addChip(c.get());
+        for (auto &c : fleet.chips)
+            stepper.addChip(c.get());
+
+        serialStepper.run(2000, kDt);
+        stepper.run(2000, kDt);
+
+        EXPECT_GT(stepper.fastForwardedTicks(), 0);
+        EXPECT_EQ(stepper.fastForwardedTicks(),
+                  serialStepper.fastForwardedTicks());
+        EXPECT_EQ(stepper.exactSteps(), serialStepper.exactSteps());
+        expectBitIdentical(serial, fleet);
+    }
 }
 
 TEST(FleetStepperExact, TickSynchronousStepMatchesChipStep)

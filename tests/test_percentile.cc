@@ -1,16 +1,14 @@
 /**
  * @file
- * Percentile tests: exact tracker semantics and P² accuracy sweeps.
+ * Percentile tests: exact tracker semantics.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/error.h"
-#include "common/rng.h"
 #include "stats/percentile.h"
 
 namespace agsim::stats {
@@ -82,51 +80,6 @@ TEST(PercentileTracker, ClearEmpties)
     tracker.clear();
     EXPECT_TRUE(tracker.empty());
 }
-
-TEST(P2Quantile, RejectsDegenerateQuantiles)
-{
-    EXPECT_THROW(P2Quantile(0.0), ConfigError);
-    EXPECT_THROW(P2Quantile(1.0), ConfigError);
-}
-
-TEST(P2Quantile, ExactForFewSamples)
-{
-    P2Quantile q(0.5);
-    q.add(3.0);
-    q.add(1.0);
-    q.add(2.0);
-    EXPECT_DOUBLE_EQ(q.value(), 2.0);
-}
-
-/** P² must track the exact quantile within a few percent. */
-class P2AccuracyTest
-    : public ::testing::TestWithParam<std::tuple<double, int>>
-{
-};
-
-TEST_P(P2AccuracyTest, TracksExactQuantile)
-{
-    const double quantile = std::get<0>(GetParam());
-    const int n = std::get<1>(GetParam());
-
-    Rng rng(99);
-    P2Quantile streaming(quantile);
-    PercentileTracker exact;
-    for (int i = 0; i < n; ++i) {
-        // Mildly skewed distribution, like latency samples.
-        const double x = std::exp(rng.normal(0.0, 0.5));
-        streaming.add(x);
-        exact.add(x);
-    }
-    const double truth = exact.percentile(quantile * 100.0);
-    EXPECT_NEAR(streaming.value(), truth, truth * 0.05)
-        << "quantile=" << quantile << " n=" << n;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    QuantileSweep, P2AccuracyTest,
-    ::testing::Combine(::testing::Values(0.5, 0.9, 0.95, 0.99),
-                       ::testing::Values(1000, 10000, 100000)));
 
 } // namespace
 } // namespace agsim::stats

@@ -1,7 +1,8 @@
 /**
  * @file
  * Parallel experiment runner tests: serial/parallel bit-identity,
- * submission-order results, pool reuse, and error propagation.
+ * submission-order results, and error propagation in both error modes
+ * (runAll rethrows, runAllPartial reports).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "common/error.h"
 #include "core/ags.h"
+#include "obs/observability.h"
 #include "system/run_batch.h"
 #include "workload/library.h"
 
@@ -117,36 +119,31 @@ TEST(RunBatch, ResultsComeBackInSubmissionOrder)
         EXPECT_EQ(results[i].label, "task" + std::to_string(i));
 }
 
-TEST(RunBatch, RunnerIsReusableAcrossRounds)
-{
-    const auto spec = makeSpec(
-        "raytrace", 1, chip::GuardbandMode::StaticGuardband, Seconds{0.05});
-
-    BatchRunner runner(2);
-    EXPECT_EQ(runner.workerCount(), 2u);
-    EXPECT_EQ(runner.submit(core::makeBatchTask(spec)), 0u);
-    EXPECT_EQ(runner.submit(core::makeBatchTask(spec)), 1u);
-    const auto first = runner.wait();
-    ASSERT_EQ(first.size(), 2u);
-    expectMetricsIdentical(first[0].metrics, first[1].metrics);
-
-    // wait() reset the round: indices restart and results are fresh.
-    EXPECT_EQ(runner.submit(core::makeBatchTask(spec)), 0u);
-    const auto second = runner.wait();
-    ASSERT_EQ(second.size(), 1u);
-    expectMetricsIdentical(first[0].metrics, second[0].metrics);
-}
-
 TEST(RunBatch, WorkerExceptionsPropagateToWait)
 {
+    // Two failures with different messages: runAll runs the whole
+    // sweep, then rethrows the first failure in submission order.
     auto good = core::makeBatchTask(makeSpec(
         "raytrace", 1, chip::GuardbandMode::StaticGuardband, Seconds{0.05}));
-    BatchTask bad; // no jobs: runBatchTask rejects it on the worker
+    auto serverScope = makeSpec(
+        "raytrace", 1, chip::GuardbandMode::StaticGuardband, Seconds{0.05});
+    serverScope.faultPlans.emplace_back(
+        0, fault::FaultPlan().serverCrash(Seconds{0.01}, Seconds{0.02}));
 
-    BatchRunner runner(2);
-    runner.submit(std::move(good));
-    runner.submit(std::move(bad));
-    EXPECT_THROW(runner.wait(), ConfigError);
+    std::vector<BatchTask> tasks;
+    tasks.push_back(std::move(good));
+    tasks.push_back(BatchTask()); // no jobs: rejected on the worker
+    tasks.push_back(core::makeBatchTask(serverScope));
+
+    try {
+        BatchRunner::runAll(std::move(tasks), 2);
+        ADD_FAILURE() << "runAll swallowed the task failures";
+    } catch (const ConfigError &e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find("job"), std::string::npos) << message;
+        EXPECT_EQ(message.find("server-scope"), std::string::npos)
+            << message;
+    }
 }
 
 TEST(RunBatch, EmptyBatchIsEmpty)
@@ -160,22 +157,22 @@ TEST(RunBatch, ContinueOnErrorReturnsPartialResults)
     auto spec = makeSpec(
         "raytrace", 1, chip::GuardbandMode::StaticGuardband, Seconds{0.05});
 
-    BatchRunner runner(2, BatchErrorPolicy::ContinueOnError);
-    EXPECT_EQ(runner.errorPolicy(), BatchErrorPolicy::ContinueOnError);
+    std::vector<BatchTask> tasks;
+    tasks.push_back(core::makeBatchTask(spec));
+    tasks[0].label = "good0";
+    tasks.push_back(BatchTask()); // no jobs: rejected on the worker
+    tasks[1].label = "badTask";
+    tasks.push_back(core::makeBatchTask(spec));
+    tasks[2].label = "good2";
 
-    auto good0 = core::makeBatchTask(spec);
-    good0.label = "good0";
-    BatchTask bad; // no jobs: runBatchTask rejects it on the worker
-    bad.label = "badTask";
-    auto good2 = core::makeBatchTask(spec);
-    good2.label = "good2";
+    obs::Counter &failures =
+        obs::registry().counter("batch.task_failures");
+    const int64_t failuresBefore = failures.value();
+    BatchOutcome outcome;
+    EXPECT_NO_THROW(outcome = BatchRunner::runAllPartial(std::move(tasks), 2));
+    EXPECT_EQ(failures.value() - failuresBefore, 1);
 
-    runner.submit(std::move(good0));
-    runner.submit(std::move(bad));
-    runner.submit(std::move(good2));
-
-    std::vector<BatchResult> results;
-    EXPECT_NO_THROW(results = runner.wait());
+    const std::vector<BatchResult> &results = outcome.results;
     ASSERT_EQ(results.size(), 3u);
     EXPECT_EQ(results[0].label, "good0");
     EXPECT_EQ(results[1].label, ""); // failed slot: default-constructed
@@ -183,39 +180,35 @@ TEST(RunBatch, ContinueOnErrorReturnsPartialResults)
     EXPECT_GT(results[0].metrics.totalChipPower, Watts{0.0});
     EXPECT_GT(results[2].metrics.totalChipPower, Watts{0.0});
 
-    ASSERT_EQ(runner.lastErrors().size(), 1u);
-    EXPECT_EQ(runner.lastErrors()[0].taskIndex, 1u);
-    EXPECT_EQ(runner.lastErrors()[0].label, "badTask");
-    EXPECT_NE(runner.lastErrors()[0].message.find("job"),
-              std::string::npos);
-
-    // The next round starts with a clean error slate.
-    runner.submit(core::makeBatchTask(spec));
-    EXPECT_EQ(runner.wait().size(), 1u);
-    EXPECT_TRUE(runner.lastErrors().empty());
+    ASSERT_EQ(outcome.errors.size(), 1u);
+    EXPECT_EQ(outcome.errors[0].taskIndex, 1u);
+    EXPECT_EQ(outcome.errors[0].label, "badTask");
+    EXPECT_NE(outcome.errors[0].message.find("job"), std::string::npos);
 }
 
 TEST(RunBatch, WaitOutcomeCapturesErrorsUnderBothPolicies)
 {
+    // The same failing batch under both error modes: runAll throws,
+    // runAllPartial reports the failure and keeps the good result.
     auto spec = makeSpec(
         "raytrace", 1, chip::GuardbandMode::StaticGuardband, Seconds{0.05});
+    const auto makeTasks = [&] {
+        std::vector<BatchTask> tasks;
+        tasks.push_back(core::makeBatchTask(spec));
+        tasks[0].label = "good";
+        tasks.push_back(BatchTask()); // fails: no jobs
+        return tasks;
+    };
 
-    for (auto policy : {BatchErrorPolicy::AbortOnFirstError,
-                        BatchErrorPolicy::ContinueOnError}) {
-        BatchRunner runner(2, policy);
-        auto good = core::makeBatchTask(spec);
-        good.label = "good";
-        runner.submit(std::move(good));
-        runner.submit(BatchTask()); // fails: no jobs
+    EXPECT_THROW(BatchRunner::runAll(makeTasks(), 2), ConfigError);
 
-        BatchOutcome outcome;
-        EXPECT_NO_THROW(outcome = runner.waitOutcome());
-        EXPECT_FALSE(outcome.ok());
-        ASSERT_EQ(outcome.results.size(), 2u);
-        EXPECT_EQ(outcome.results[0].label, "good");
-        ASSERT_EQ(outcome.errors.size(), 1u);
-        EXPECT_EQ(outcome.errors[0].taskIndex, 1u);
-    }
+    BatchOutcome outcome;
+    EXPECT_NO_THROW(outcome = BatchRunner::runAllPartial(makeTasks(), 2));
+    EXPECT_FALSE(outcome.ok());
+    ASSERT_EQ(outcome.results.size(), 2u);
+    EXPECT_EQ(outcome.results[0].label, "good");
+    ASSERT_EQ(outcome.errors.size(), 1u);
+    EXPECT_EQ(outcome.errors[0].taskIndex, 1u);
 }
 
 TEST(RunBatch, RunAllPartialMatchesSerialAndParallel)
@@ -318,7 +311,7 @@ TEST(RunBatch, ServerScopePlanSurfacesAsPerTaskError)
 {
     // Server-level faults (crash/hang/VRM shutdown) belong to the
     // recovery subsystem, not to a chip-scope batch plan: the injector
-    // rejects them at attach time, and under ContinueOnError that
+    // rejects them at attach time, and under runAllPartial that
     // rejection must cost only the offending task.
     auto good = makeSpec(
         "raytrace", 1, chip::GuardbandMode::StaticGuardband, Seconds{0.05});
@@ -329,15 +322,14 @@ TEST(RunBatch, ServerScopePlanSurfacesAsPerTaskError)
 
     EXPECT_THROW(core::runScheduled(bad), ConfigError);
 
-    BatchRunner runner(2, BatchErrorPolicy::ContinueOnError);
-    auto goodTask = core::makeBatchTask(good);
-    goodTask.label = "good";
-    auto badTask = core::makeBatchTask(bad);
-    badTask.label = "serverScope";
-    runner.submit(std::move(goodTask));
-    runner.submit(std::move(badTask));
+    std::vector<BatchTask> tasks;
+    tasks.push_back(core::makeBatchTask(good));
+    tasks[0].label = "good";
+    tasks.push_back(core::makeBatchTask(bad));
+    tasks[1].label = "serverScope";
 
-    const BatchOutcome outcome = runner.waitOutcome();
+    const BatchOutcome outcome =
+        BatchRunner::runAllPartial(std::move(tasks), 2);
     EXPECT_FALSE(outcome.ok());
     ASSERT_EQ(outcome.results.size(), 2u);
     EXPECT_EQ(outcome.results[0].label, "good");

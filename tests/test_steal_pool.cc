@@ -2,14 +2,17 @@
  * @file
  * StealPool tests: every task runs exactly once per sweep regardless of
  * worker count or load skew, sweeps are reusable barriers, stealing
- * actually engages under imbalance, and the FleetStepper stealing mode
- * stays bit-identical to serial and static-split execution.
+ * actually engages under imbalance, and a worker that joins a sweep
+ * late never runs the next sweep's tasks with the finished sweep's
+ * body.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -102,6 +105,69 @@ TEST(StealPool, MoreWorkersThanTasks)
     std::atomic<int> done{0};
     pool.sweep(3, [&](size_t, size_t) { done.fetch_add(1); });
     EXPECT_EQ(done.load(), 3);
+}
+
+TEST(StealPool, LateWorkerNeverRunsTheNextSweepWithAStaleBody)
+{
+    // Worker 1 joins sweep A, then stalls in the wake seam before it
+    // takes a task; worker 0 drains A alone. Sweep A must stay open
+    // until worker 1 lets go of A's body. A pool that returns early
+    // lets the stalled worker wake into sweep B's queued tasks still
+    // holding A's body: sweep B's first task releases the stall and
+    // waits for exactly that to happen.
+    using namespace std::chrono_literals;
+    StealPool pool(2);
+    std::mutex m;
+    std::condition_variable cv;
+    bool joined = false;
+    bool released = false;
+    bool sweepAReturned = false;
+    int staleCalls = 0;
+    std::atomic<bool> armed{true};
+    pool.setWakeHookForTest([&](size_t worker) {
+        if (worker != 1 || !armed.exchange(false))
+            return;
+        std::unique_lock<std::mutex> lock(m);
+        joined = true;
+        cv.notify_all();
+        cv.wait_for(lock, 200ms, [&] { return released; });
+    });
+
+    const StealPool::TaskFn bodyA = [&](size_t, size_t) {
+        std::unique_lock<std::mutex> lock(m);
+        cv.wait_for(lock, 2s, [&] { return joined; });
+        if (sweepAReturned) {
+            ++staleCalls;
+            cv.notify_all();
+        }
+    };
+    pool.sweep(2, bodyA);
+    {
+        std::lock_guard<std::mutex> lock(m);
+        sweepAReturned = true;
+        EXPECT_TRUE(joined) << "worker 1 never joined sweep A";
+    }
+
+    const size_t tasksB = 8;
+    std::vector<std::atomic<int>> hitsB(tasksB);
+    for (auto &h : hitsB)
+        h.store(0);
+    const StealPool::TaskFn bodyB = [&](size_t, size_t task) {
+        hitsB[task].fetch_add(1);
+        std::unique_lock<std::mutex> lock(m);
+        if (!released) {
+            released = true;
+            cv.notify_all();
+            cv.wait_for(lock, 100ms, [&] { return staleCalls > 0; });
+        }
+    };
+    pool.sweep(tasksB, bodyB);
+
+    std::lock_guard<std::mutex> lock(m);
+    EXPECT_EQ(staleCalls, 0) << "sweep B's tasks ran with sweep A's body";
+    for (size_t k = 0; k < tasksB; ++k)
+        EXPECT_EQ(hitsB[k].load(), 1) << "task " << k;
+    EXPECT_EQ(pool.sweeps(), 2);
 }
 
 } // namespace
