@@ -1,6 +1,7 @@
 #include "core/placement.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "common/error.h"
@@ -93,6 +94,44 @@ applyGating(system::WorkloadSimulation &sim, const PlacementPlan &plan)
 {
     for (const auto &[socket, core] : plan.gatedCores)
         sim.gateCore(socket, core);
+}
+
+std::vector<uint64_t>
+splitByWeight(uint64_t count, const std::vector<double> &weights)
+{
+    std::vector<uint64_t> out(weights.size(), 0);
+    double total = 0.0;
+    for (double w : weights)
+        total += w;
+    if (count == 0 || total <= 0.0)
+        return out;
+
+    std::vector<std::pair<double, size_t>> remainders;
+    remainders.reserve(weights.size());
+    uint64_t assigned = 0;
+    for (size_t i = 0; i < weights.size(); ++i) {
+        const double exact = double(count) * weights[i] / total;
+        const uint64_t base = uint64_t(std::floor(exact));
+        out[i] = base;
+        assigned += base;
+        remainders.emplace_back(exact - double(base), i);
+    }
+    std::sort(remainders.begin(), remainders.end(),
+              [](const auto &a, const auto &b) {
+                  if (a.first != b.first)
+                      return a.first > b.first;
+                  return a.second < b.second;
+              });
+    // The remainders sum to the leftover and each is below one, so one
+    // pass over the positive weights always places all of it.
+    uint64_t leftover = count - assigned;
+    for (size_t k = 0; k < remainders.size() && leftover > 0; ++k) {
+        if (weights[remainders[k].second] <= 0.0)
+            continue;
+        ++out[remainders[k].second];
+        --leftover;
+    }
+    return out;
 }
 
 void

@@ -75,6 +75,18 @@ PlacementPlan makePlacementPlan(PlacementPolicy policy, size_t socketCount,
  */
 void applyGating(system::WorkloadSimulation &sim, const PlacementPlan &plan);
 
+/**
+ * Largest-remainder split of `count` over `weights`: share i is
+ * floor(count * w_i / sum(w)), plus one for the largest fractional
+ * remainders (ties to the lower index), so the shares sum to `count`
+ * exactly; all shares are zero when no weight is positive. With
+ * integer capacities as weights and count <= sum(capacity), no share
+ * exceeds its capacity. FleetService routes queries with it and
+ * RecoveryManager apportions fleet threads with it.
+ */
+std::vector<uint64_t> splitByWeight(uint64_t count,
+                                    const std::vector<double> &weights);
+
 /** Tunables for health-aware placement (see HealthAwarePlacer). */
 struct HealthAwareParams
 {

@@ -1,6 +1,7 @@
 #include "recovery/recovery_manager.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 #include "obs/observability.h"
@@ -77,7 +78,7 @@ RecoveryManager::addServer(system::Server &server,
         record.injector = std::make_unique<fault::FaultInjector>(
             *plan, server.chip(0).coreCount(), fault::FaultScope::Server);
     }
-    record.checkpointBytes.resize(server.socketCount());
+    record.checkpoints.resize(server.socketCount());
     record.baselineMode.reserve(server.socketCount());
     for (size_t s = 0; s < server.socketCount(); ++s)
         record.baselineMode.push_back(server.chip(s).commandedMode());
@@ -108,6 +109,20 @@ RecoveryManager::state(size_t server) const
 {
     fatalIf(server >= servers_.size(), "recovery server index out of range");
     return servers_[server].state;
+}
+
+bool
+RecoveryManager::servable(size_t server) const
+{
+    fatalIf(server >= servers_.size(), "recovery server index out of range");
+    return servable(servers_[server]);
+}
+
+const std::vector<size_t> &
+RecoveryManager::placedPerSocket(size_t server) const
+{
+    fatalIf(server >= servers_.size(), "recovery server index out of range");
+    return servers_[server].placedPerSocket;
 }
 
 size_t
@@ -350,11 +365,11 @@ RecoveryManager::completeRestores()
             continue;
         const char *how = "warm";
         if (record.stateLost && record.hasCheckpoint) {
-            // Decode the stored bytes (never a kept live object): a
-            // recovery exercises the full wire format every time.
+            // Round-trip through the AGCK bytes: every recovery
+            // exercises the full wire format.
             for (size_t s = 0; s < record.server->socketCount(); ++s) {
-                const chip::ChipCheckpoint checkpoint =
-                    decodeChipCheckpoint(record.checkpointBytes[s]);
+                const chip::ChipCheckpoint checkpoint = decodeChipCheckpoint(
+                    encodeChipCheckpoint(record.checkpoints[s]));
                 record.server->chip(s).restoreCheckpoint(checkpoint);
             }
             how = "restore";
@@ -384,18 +399,21 @@ RecoveryManager::completeRestores()
 void
 RecoveryManager::captureCheckpoints()
 {
-    for (ServerRecord &record : servers_) {
+    const Seconds interval = policy_.checkpointInterval;
+    for (size_t i = 0; i < servers_.size(); ++i) {
+        ServerRecord &record = servers_[i];
         if (!servable(record))
             continue;
         if (record.hasCheckpoint &&
-            now_ - record.lastCheckpointAt < policy_.checkpointInterval)
+            now_ - record.lastCheckpointAt < interval)
             continue;
+        // Server i's first capture is offset by i/N of an interval, so
+        // each tick captures a slice of the fleet, not all of it at once.
         if (!record.hasCheckpoint &&
-            now_ < policy_.checkpointInterval)
+            now_ < interval * (1.0 + double(i) / double(servers_.size())))
             continue;
         for (size_t s = 0; s < record.server->socketCount(); ++s) {
-            record.checkpointBytes[s] =
-                encodeChipCheckpoint(record.server->chip(s).checkpoint());
+            record.checkpoints[s] = record.server->chip(s).checkpoint();
         }
         record.hasCheckpoint = true;
         record.lastCheckpointAt = now_;
@@ -469,38 +487,24 @@ RecoveryManager::applyPlacement()
 {
     if (!haveWorkload_)
         return;
+    // Shed first (rung 3), then place only what fits on servable cores,
+    // split over servers in proportion to their core counts.
     size_t want = workloadThreads_;
-    if (rung_ >= 3) {
-        const size_t shed =
-            size_t(double(workloadThreads_) * policy_.shedFraction);
-        want = workloadThreads_ - shed;
-    }
-
-    // Balanced apportion over servable servers, clamped to capacity:
-    // hand threads out one at a time to the least-loaded server with
-    // spare cores, so a downed server's share spills evenly.
-    std::vector<size_t> counts(servers_.size(), 0);
-    std::vector<size_t> capacity(servers_.size(), 0);
+    if (rung_ >= 3)
+        want -= size_t(double(workloadThreads_) * policy_.shedFraction);
+    std::vector<double> capacity(servers_.size(), 0.0);
+    size_t servableCores = 0;
     for (size_t i = 0; i < servers_.size(); ++i) {
-        if (servable(servers_[i])) {
-            capacity[i] = servers_[i].server->socketCount() *
-                          servers_[i].server->chip(0).coreCount();
-        }
+        if (!servable(servers_[i]))
+            continue;
+        const size_t cores = servers_[i].server->socketCount() *
+                             servers_[i].server->chip(0).coreCount();
+        capacity[i] = double(cores);
+        servableCores += cores;
     }
-    size_t placed = 0;
-    for (size_t t = 0; t < want; ++t) {
-        size_t best = servers_.size();
-        for (size_t i = 0; i < servers_.size(); ++i) {
-            if (counts[i] >= capacity[i])
-                continue;
-            if (best == servers_.size() || counts[i] < counts[best])
-                best = i;
-        }
-        if (best == servers_.size())
-            break; // fleet is out of cores; the rest is shed by force
-        ++counts[best];
-        ++placed;
-    }
+    want = std::min(want, servableCores);
+    const std::vector<uint64_t> counts =
+        core::splitByWeight(want, capacity);
 
     int64_t moved = 0;
     for (size_t i = 0; i < servers_.size(); ++i) {
@@ -513,29 +517,42 @@ RecoveryManager::applyPlacement()
     for (size_t i = 0; i < servers_.size(); ++i) {
         ServerRecord &record = servers_[i];
         if (!servable(record)) {
+            // Its chips may come back with checkpointed, cold, or
+            // pre-outage loads: forget what was written so the
+            // placement that returns it rewrites every socket.
             record.assignedThreads = 0;
+            record.placedPerSocket.clear();
             continue;
         }
         system::Server &server = *record.server;
-        const size_t coresPerSocket = server.chip(0).coreCount();
-        std::vector<chip::ChipHealthView> health;
-        health.reserve(server.socketCount());
-        for (size_t s = 0; s < server.socketCount(); ++s)
-            health.push_back(server.chip(s).healthView());
-        const core::HealthAwarePlacer::Decision decision =
-            record.placer.place(health, counts[i], coresPerSocket, now_);
-        const core::PlacementPlan plan = core::makeHealthAwarePlacementPlan(
-            decision, coresPerSocket, capacity[i]);
-        server.clearLoads();
-        for (const auto &[socket, core] : plan.gatedCores)
-            server.chip(socket).setLoad(core, chip::CoreLoad::powerGated());
-        for (const system::ThreadPlacement &thread : plan.threads)
-            server.chip(thread.socket).setLoad(thread.core, workloadLoad_);
-        record.assignedThreads = counts[i];
+        std::vector<size_t> perSocket(server.socketCount(), 0);
+        if (counts[i] > 0) {
+            std::vector<chip::ChipHealthView> health;
+            health.reserve(server.socketCount());
+            for (size_t s = 0; s < server.socketCount(); ++s)
+                health.push_back(server.chip(s).healthView());
+            const core::HealthAwarePlacer::Decision decision =
+                record.placer.place(health, size_t(counts[i]),
+                                    server.chip(0).coreCount(), now_);
+            perSocket = decision.threadsPerSocket;
+        }
+        const bool known = !record.placedPerSocket.empty();
+        for (size_t s = 0; s < server.socketCount(); ++s) {
+            const size_t threads = perSocket[s];
+            if (known && threads == record.placedPerSocket[s])
+                continue; // untouched: a sampled chip stays armed
+            chip::Chip &c = server.chip(s);
+            for (size_t core = 0; core < c.coreCount(); ++core) {
+                c.setLoad(core, core < threads ? workloadLoad_
+                                               : chip::CoreLoad::idle());
+            }
+        }
+        record.placedPerSocket = std::move(perSocket);
+        record.assignedThreads = size_t(counts[i]);
     }
 
-    placedThreads_ = placed;
-    obsShedThreads_->set(double(workloadThreads_ - placed));
+    placedThreads_ = want;
+    obsShedThreads_->set(double(workloadThreads_ - want));
 }
 
 } // namespace agsim::recovery

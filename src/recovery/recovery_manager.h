@@ -8,11 +8,21 @@
  * server-scope half of the fault model (FaultScope::Server plans),
  * watches every server for step progress, restarts failed ones with
  * exponential-backoff probes, restores their chips from periodically
- * captured ChipCheckpoints (carried as encoded AGCK bytes, so the wire
- * format is exercised on every recovery), drains and re-apportions the
- * workload through HealthAwarePlacer while capacity is down, and walks
- * a fleet-wide graceful-degradation ladder when failures arrive in
- * correlated storms.
+ * captured ChipCheckpoints (round-tripped through the AGCK bytes on
+ * every restore, so each recovery exercises the wire format while the
+ * periodic capture stays a plain copy), and walks a fleet-wide
+ * graceful-degradation ladder when failures arrive in correlated
+ * storms.
+ *
+ * It is also the fleet's one thread placer. A caller declares how many
+ * worker threads it wants (setWorkload; FleetService sizes that from
+ * its demand estimate) and the manager decides where they run: after
+ * the rung-3 shed it clamps them to servable cores, splits them over
+ * servers in proportion to core capacity (core::splitByWeight), and
+ * lets each server's HealthAwarePlacer pick sockets. It re-places on
+ * every setWorkload, failure, recovery, and ladder move, and rewrites
+ * only the sockets whose thread count changed, so untouched chips keep
+ * their phase-sampling state.
  *
  * Failure model (docs/RELIABILITY.md has the full taxonomy):
  *
@@ -61,6 +71,7 @@
 
 #include "common/thread_annotations.h"
 
+#include "chip/chip_checkpoint.h"
 #include "chip/core_load.h"
 #include "core/placement.h"
 #include "fault/fault_injector.h"
@@ -147,8 +158,10 @@ class RecoveryManager
 
     /**
      * Declare the fleet workload: `threads` identical worker threads
-     * running `load`. Placement happens immediately and is re-derived
-     * on every failure, recovery, abandonment, and ladder move.
+     * running `load` (at most the fleet's total cores). Placement
+     * happens immediately and is re-derived on every failure, recovery,
+     * abandonment, and ladder move; threads that do not fit on
+     * servable cores are not placed.
      */
     void setWorkload(size_t threads, const chip::CoreLoad &load);
 
@@ -175,6 +188,15 @@ class RecoveryManager
     const RecoveryPolicy &policy() const { return policy_; }
     size_t serverCount() const { return servers_.size(); }
     ServerRecoveryState state(size_t server) const;
+    /** Whether a server is Online and stepping, i.e. may carry work. */
+    bool servable(size_t server) const;
+    /**
+     * Threads the last placement put on each socket of a server (cores
+     * 0..n-1 run the workload). Empty before the first placement and
+     * while the server is out of service: its loads are unknown until
+     * a placement rewrites every socket.
+     */
+    const std::vector<size_t> &placedPerSocket(size_t server) const;
     /** Servers currently Online and actually stepping (not frozen). */
     size_t onlineCount() const;
     /** Watchdog detections so far. */
@@ -219,14 +241,16 @@ class RecoveryManager
         Seconds probeDelay = Seconds{0.0};
         int probesUsed = 0;
         Seconds restoreDoneAt = Seconds{0.0};
-        /** Encoded AGCK checkpoint per socket (wire format on purpose). */
-        std::vector<std::vector<uint8_t>> checkpointBytes;
+        /** Last captured checkpoint per socket. */
+        std::vector<chip::ChipCheckpoint> checkpoints;
         bool hasCheckpoint = false;
         Seconds lastCheckpointAt = Seconds{0.0};
         /** Commanded mode per socket at registration (ladder rung 0). */
         std::vector<chip::GuardbandMode> baselineMode;
         /** Threads assigned by the last placement. */
         size_t assignedThreads = 0;
+        /** Threads per socket as last written; empty = unknown. */
+        std::vector<size_t> placedPerSocket;
         /** Placer reused across placements (trust hysteresis). */
         core::HealthAwarePlacer placer;
     };

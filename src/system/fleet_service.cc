@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "core/placement.h"
 #include "obs/observability.h"
 
 namespace agsim::system {
@@ -79,11 +80,8 @@ FleetService::FleetService(const FleetServiceConfig &config)
             config_.seed + kSeedStride * uint64_t(i + 1);
         servers_.push_back(std::make_unique<Server>(sc));
         queues_.emplace_back(config_.queue);
-        placers_.emplace_back(config_.placement);
-        placedPerSocket_.emplace_back(sc.socketCount, 0);
     }
     faultPlans_.resize(config_.serverCount);
-    wasServable_.assign(config_.serverCount, 1);
 
     obs::MetricRegistry &reg = obs::registry();
     obsQuanta_ = &reg.counter("service.quanta_total");
@@ -164,7 +162,6 @@ FleetService::start()
         tsLatency_ = hub_->declareSeries("service.latency_ms");
         tsShedRate_ = hub_->declareSeries("service.shed_rate");
         tsThroughput_ = hub_->declareSeries("service.throughput");
-        tsPlaced_ = hub_->declareSeries("service.placed_threads");
     }
 
     rateEwma_ = arrivals_.rate(Seconds{0.0});
@@ -179,167 +176,42 @@ FleetService::demandEstimate() const
     return std::max(0.0, rateEwma_) + backlogRate;
 }
 
-bool
-FleetService::servable(size_t index) const
+size_t
+FleetService::placedOn(size_t index) const
 {
-    if (manager_->state(index) !=
-        recovery::ServerRecoveryState::Online)
-        return false;
-    const size_t sockets = servers_[index]->socketCount();
-    const size_t base = index * sockets;
-    for (size_t s = 0; s < sockets; ++s) {
-        if (!stepper_.chipActive(base + s))
-            return false;
-    }
-    return true;
+    size_t placed = 0;
+    for (size_t count : manager_->placedPerSocket(index))
+        placed += count;
+    return placed;
 }
 
 double
 FleetService::capacityScale(size_t index) const
 {
     double scale = 0.0;
-    const Server &server = *servers_[index];
-    for (size_t s = 0; s < server.socketCount(); ++s) {
-        const chip::Chip &c = server.chip(s);
-        const size_t placed =
-            std::min(placedPerSocket_[index][s], c.coreCount());
-        for (size_t core = 0; core < placed; ++core)
+    const std::vector<size_t> &placed = manager_->placedPerSocket(index);
+    for (size_t s = 0; s < placed.size(); ++s) {
+        const chip::Chip &c = servers_[index]->chip(s);
+        for (size_t core = 0; core < placed[s]; ++core)
             scale += queues_[index].frequencyScale(c.coreFrequency(core));
     }
     return scale;
 }
 
-std::vector<uint64_t>
-FleetService::splitByWeight(uint64_t count,
-                            const std::vector<double> &weights)
-{
-    std::vector<uint64_t> out(weights.size(), 0);
-    double total = 0.0;
-    for (double w : weights)
-        total += w;
-    if (count == 0 || total <= 0.0)
-        return out;
-
-    // Largest-remainder apportionment: deterministic (index-ordered
-    // tie-break) and exact (shares sum to count).
-    std::vector<std::pair<double, size_t>> remainders;
-    remainders.reserve(weights.size());
-    uint64_t assigned = 0;
-    for (size_t i = 0; i < weights.size(); ++i) {
-        const double exact = double(count) * weights[i] / total;
-        const uint64_t base = uint64_t(std::floor(exact));
-        out[i] = base;
-        assigned += base;
-        remainders.emplace_back(exact - double(base), i);
-    }
-    std::sort(remainders.begin(), remainders.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.first != b.first)
-                      return a.first > b.first;
-                  return a.second < b.second;
-              });
-    uint64_t leftover = count - assigned;
-    for (size_t k = 0; k < remainders.size() && leftover > 0; ++k) {
-        if (weights[remainders[k].second] <= 0.0)
-            continue;
-        ++out[remainders[k].second];
-        --leftover;
-    }
-    // All-remainder pathological case (every weight zero was filtered
-    // above): dump the rest on the first positive-weight server.
-    if (leftover > 0) {
-        for (size_t i = 0; i < weights.size() && leftover > 0; ++i) {
-            if (weights[i] > 0.0) {
-                out[i] += leftover;
-                leftover = 0;
-            }
-        }
-    }
-    return out;
-}
-
 void
 FleetService::replace(double demand)
 {
-    const size_t coresPerSocket = config_.server.chipTemplate.coreCount;
-
-    // Capacity sizing: enough placed cores to serve the smoothed rate
-    // at the target utilization, clamped to what survives.
-    size_t servableCores = 0;
-    std::vector<double> weights(servers_.size(), 0.0);
-    for (size_t i = 0; i < servers_.size(); ++i) {
-        if (!servable(i))
-            continue;
-        const size_t cap = servers_[i]->socketCount() * coresPerSocket;
-        servableCores += cap;
-        weights[i] = double(cap);
-    }
-
+    // Enough threads to serve the demand at the target utilization;
+    // the manager sheds, clamps to servable cores, and places them.
+    const size_t totalCores = servers_.size() *
+                              config_.server.socketCount *
+                              config_.server.chipTemplate.coreCount;
     const double perCore =
         config_.queue.serviceRatePerCore * config_.targetUtilization;
-    size_t threadsNeeded =
+    const size_t threads =
         size_t(std::ceil(std::max(0.0, demand) / perCore));
-    threadsNeeded = std::min(std::max<size_t>(threadsNeeded, 1),
-                             servableCores);
-
-    std::vector<uint64_t> perServer =
-        splitByWeight(threadsNeeded, weights);
-
-    // Cap at per-server capacity; push overflow to servers with room
-    // (deterministic index order).
-    uint64_t overflow = 0;
-    for (size_t i = 0; i < servers_.size(); ++i) {
-        const uint64_t cap =
-            uint64_t(servers_[i]->socketCount()) * coresPerSocket;
-        if (perServer[i] > cap) {
-            overflow += perServer[i] - cap;
-            perServer[i] = cap;
-        }
-    }
-    for (size_t i = 0; i < servers_.size() && overflow > 0; ++i) {
-        if (weights[i] <= 0.0)
-            continue;
-        const uint64_t cap =
-            uint64_t(servers_[i]->socketCount()) * coresPerSocket;
-        const uint64_t room = cap - perServer[i];
-        const uint64_t take = std::min(room, overflow);
-        perServer[i] += take;
-        overflow -= take;
-    }
-
-    placedThreads_ = 0;
-    for (size_t i = 0; i < servers_.size(); ++i) {
-        Server &server = *servers_[i];
-        if (weights[i] <= 0.0) {
-            // Dead server: remember it carries nothing. Its frozen
-            // chips keep their loads; the restore path re-places.
-            std::fill(placedPerSocket_[i].begin(),
-                      placedPerSocket_[i].end(), 0);
-            continue;
-        }
-        std::vector<chip::ChipHealthView> health;
-        health.reserve(server.socketCount());
-        for (size_t s = 0; s < server.socketCount(); ++s)
-            health.push_back(server.chip(s).healthView());
-        const core::HealthAwarePlacer::Decision decision =
-            placers_[i].place(health, size_t(perServer[i]),
-                              coresPerSocket, now_);
-        stats_.threadMigrations += int64_t(decision.migrated);
-        for (size_t s = 0; s < server.socketCount(); ++s) {
-            const size_t want = decision.threadsPerSocket[s];
-            if (want == placedPerSocket_[i][s]) {
-                placedThreads_ += want;
-                continue;
-            }
-            chip::Chip &c = server.chip(s);
-            for (size_t core = 0; core < c.coreCount(); ++core) {
-                c.setLoad(core, core < want ? config_.activeLoad
-                                            : chip::CoreLoad::idle());
-            }
-            placedPerSocket_[i][s] = want;
-            placedThreads_ += want;
-        }
-    }
+    manager_->setWorkload(std::clamp<size_t>(threads, 1, totalCores),
+                          config_.activeLoad);
     lastPlacedDemand_ = demand;
     ++stats_.placements;
 }
@@ -363,17 +235,9 @@ FleetService::tick()
 
     // 3. Drain-and-migrate: a server that can no longer serve (failed,
     // frozen, or placed to zero) hands its backlog to the router.
-    bool servableChanged = false;
     for (size_t i = 0; i < servers_.size(); ++i) {
-        const bool ok = servable(i);
-        if (char(ok) != wasServable_[i]) {
-            servableChanged = true;
-            wasServable_[i] = char(ok);
-        }
-        size_t placed = 0;
-        for (size_t count : placedPerSocket_[i])
-            placed += count;
-        if ((!ok || placed == 0) && queues_[i].depth() > 0) {
+        if ((!manager_->servable(i) || placedOn(i) == 0) &&
+            queues_[i].depth() > 0) {
             const uint64_t moved = queues_[i].takeBacklog();
             toRoute += moved;
             stats_.migratedQueries += moved;
@@ -381,13 +245,13 @@ FleetService::tick()
         }
     }
 
-    // 4. Re-place on a capacity edge or a sustained demand shift
-    // (demand = rate EWMA + backlog drain surplus).
+    // 4. Resize the workload on a sustained demand shift (demand =
+    // rate EWMA + backlog drain surplus). Capacity edges need nothing
+    // here: the manager re-places on its own failure and recovery.
     const double demand = demandEstimate();
     const double reference = std::max(lastPlacedDemand_, 1.0);
-    if (servableChanged ||
-        std::abs(demand - lastPlacedDemand_) / reference >
-            config_.rateShiftThreshold) {
+    if (std::abs(demand - lastPlacedDemand_) / reference >
+        config_.rateShiftThreshold) {
         replace(demand);
     }
 
@@ -395,11 +259,9 @@ FleetService::tick()
     std::vector<double> weights(servers_.size(), 0.0);
     bool anyWeight = false;
     for (size_t i = 0; i < servers_.size(); ++i) {
-        if (!wasServable_[i])
+        if (!manager_->servable(i))
             continue;
-        size_t placed = 0;
-        for (size_t count : placedPerSocket_[i])
-            placed += count;
+        const size_t placed = placedOn(i);
         weights[i] = double(placed);
         anyWeight = anyWeight || placed > 0;
     }
@@ -411,14 +273,14 @@ FleetService::tick()
         toRoute = 0;
     }
     const std::vector<uint64_t> routed =
-        splitByWeight(toRoute, weights);
+        core::splitByWeight(toRoute, weights);
 
     uint64_t admitted = 0;
     uint64_t shed = 0;
     uint64_t completed = 0;
     double latencyWeighted = 0.0;
     for (size_t i = 0; i < servers_.size(); ++i) {
-        if (!wasServable_[i])
+        if (!manager_->servable(i))
             continue;
         const qos::QueueStepResult result =
             queues_[i].step(q, routed[i], capacityScale(i));
@@ -467,7 +329,6 @@ FleetService::sampleTelemetry(uint64_t arrived, uint64_t admitted,
         hub_->record(tsLatency_, 0, now_, meanLatency.value() * 1e3);
     hub_->record(tsShedRate_, 0, now_, double(shed) / q);
     hub_->record(tsThroughput_, 0, now_, double(completed) / q);
-    hub_->record(tsPlaced_, 0, now_, double(placedThreads_));
 }
 
 void
@@ -530,7 +391,7 @@ FleetService::stateDigest() const
     hash = fnvMix(hash, stats_.completed);
     hash = fnvMix(hash, stats_.shed);
     hash = fnvMix(hash, stats_.migratedQueries);
-    hash = fnvMix(hash, uint64_t(placedThreads_));
+    hash = fnvMix(hash, uint64_t(manager_->placedThreads()));
     hash = fnvMixDouble(hash, rateEwma_);
     return hash;
 }

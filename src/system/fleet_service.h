@@ -17,19 +17,21 @@
  *  - traffic: a workload::ArrivalProcess (steady/diurnal/MMPP/flash
  *    crowd) drawn once per control quantum on the control thread,
  *    routed over the servable servers by largest-remainder split
- *    proportional to placed capacity;
+ *    (core::splitByWeight) proportional to placed threads;
  *  - queueing: one deterministic qos::ServerQueueModel per server,
  *    drained at the frequency-scaled service rate of that server's
  *    placed cores (a droop-throttled or demoted chip serves slower —
  *    the paper's co-runner -> QoS chain at fleet scale);
- *  - control: per-server core::HealthAwarePlacer apportionment, re-run
- *    when the offered-rate EWMA shifts by `rateShiftThreshold` or the
- *    servable set changes; admission control at each queue's maxDepth;
- *    drain-and-migrate requeues a failed server's backlog onto
- *    survivors;
- *  - reliability: a recovery::RecoveryManager runs its full pipeline
- *    (faults, watchdog, probes, restores, checkpoints, ladder) every
- *    quantum;
+ *  - control: demand sizing only — when the demand estimate shifts by
+ *    `rateShiftThreshold` the service asks the RecoveryManager for
+ *    ceil(demand / (serviceRatePerCore x targetUtilization)) threads;
+ *    admission control at each queue's maxDepth; drain-and-migrate
+ *    requeues a failed server's backlog onto survivors;
+ *  - reliability and placement: a recovery::RecoveryManager runs its
+ *    full pipeline (faults, watchdog, probes, restores, checkpoints,
+ *    ladder) every quantum and is the only code that decides where
+ *    threads run: it sheds at ladder rung 3, clamps to servable cores,
+ *    and re-places on its own failure, recovery and ladder edges;
  *  - observability: service.* telemetry series recorded on the control
  *    thread each quantum; the hub heartbeat (SLO burn-rate evaluation,
  *    stream lines, flight recorder) rides the RecoveryManager tick.
@@ -37,8 +39,8 @@
  * Quantum anatomy (one tick() call):
  *   1. stepper.run(ticksPerQuantum, dt)        [workers, barriered]
  *   2. arrivals.draw(now, quantum)             [control thread]
- *   3. drain-and-migrate dead servers' backlogs
- *   4. re-place if the rate shifted / capacity changed
+ *   3. drain-and-migrate backlogs of servers that cannot serve
+ *   4. resize the workload (manager.setWorkload) if demand shifted
  *   5. route + step every server queue
  *   6. record service.* telemetry
  *   7. recovery tick (ends with hub.tick: SLO + stream)
@@ -59,7 +61,6 @@
 
 #include "common/thread_annotations.h"
 
-#include "core/placement.h"
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
 #include "obs/telemetry/telemetry_hub.h"
@@ -112,8 +113,6 @@ struct FleetServiceConfig
      * carried indefinitely by a fleet that scaled back down.
      */
     Seconds backlogDrainHorizon = Seconds{0.1};
-    /** Per-server placement tunables (trust hysteresis etc.). */
-    core::HealthAwareParams placement;
 
     /** Failure-and-recovery policy. */
     recovery::RecoveryPolicy recovery;
@@ -131,10 +130,8 @@ struct FleetServiceStats
     uint64_t completed = 0;
     /** Queries requeued off failed servers (drain-and-migrate). */
     uint64_t migratedQueries = 0;
-    /** Placement decisions taken (fleet-wide re-place passes). */
+    /** Workload resizes sent to the RecoveryManager. */
     int64_t placements = 0;
-    /** Threads moved between sockets by those decisions. */
-    int64_t threadMigrations = 0;
     /** Control quanta executed. */
     int64_t quanta = 0;
 };
@@ -211,9 +208,6 @@ class FleetService
     /** Fraction of offered queries completed so far (1 if none). */
     double sustainedFraction() const;
 
-    /** Worker threads currently placed fleet-wide. */
-    size_t placedThreads() const { return placedThreads_; }
-
     size_t serverCount() const { return servers_.size(); }
     Server &server(size_t index) { return *servers_[index]; }
 
@@ -228,8 +222,8 @@ class FleetService
     uint64_t stateDigest() const;
 
   private:
-    /** Whether this server may carry traffic right now. */
-    bool servable(size_t index) const;
+    /** Threads the manager placed on a server. */
+    size_t placedOn(size_t index) const;
 
     /** Sum of frequencyScale over a server's placed cores. */
     double capacityScale(size_t index) const;
@@ -237,12 +231,8 @@ class FleetService
     /** Offered-rate EWMA plus the backlog drain surplus (queries/s). */
     double demandEstimate() const;
 
-    /** Re-derive and apply the fleet-wide placement for `demand`. */
+    /** Size the workload for `demand` and hand it to the manager. */
     void replace(double demand);
-
-    /** Largest-remainder split of `count` over per-server weights. */
-    static std::vector<uint64_t>
-    splitByWeight(uint64_t count, const std::vector<double> &weights);
 
     /** Record the quantum's service.* telemetry samples. */
     AG_CONTROL_THREAD
@@ -257,18 +247,11 @@ class FleetService
     std::unique_ptr<recovery::RecoveryManager> manager_;
     workload::ArrivalProcess arrivals_;
     std::vector<qos::ServerQueueModel> queues_;
-    /** One placer per server (trust hysteresis is per-server state). */
-    std::vector<core::HealthAwarePlacer> placers_;
-    /** Threads placed per socket, server-major. */
-    std::vector<std::vector<size_t>> placedPerSocket_;
-    /** Last quantum's servable verdict per server (edge detection). */
-    std::vector<char> wasServable_;
 
     bool started_ = false;
     Seconds now_ = Seconds{0.0};
     double rateEwma_ = 0.0;
     double lastPlacedDemand_ = 0.0;
-    size_t placedThreads_ = 0;
     FleetServiceStats stats_;
     stats::QuantileSketch latency_;
 
@@ -284,7 +267,6 @@ class FleetService
     obs::telemetry::SeriesId tsLatency_ = 0;
     obs::telemetry::SeriesId tsShedRate_ = 0;
     obs::telemetry::SeriesId tsThroughput_ = 0;
-    obs::telemetry::SeriesId tsPlaced_ = 0;
 };
 
 } // namespace agsim::system

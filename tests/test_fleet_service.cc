@@ -6,7 +6,9 @@
  * its online control must actually control: admission sheds under
  * overload, placements track rate shifts, failed servers drain and
  * migrate their backlogs, and the scripted flash crowd drives an SLO
- * alert through a full fire/resolve cycle.
+ * alert through a full fire/resolve cycle. Placement belongs to the
+ * RecoveryManager: the ladder's rung-3 shed must reach the service,
+ * and the chips must run exactly the threads the manager placed.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 
 #include "common/error.h"
 #include "fault/fault_plan.h"
+#include "obs/observability.h"
 #include "obs/telemetry/telemetry_hub.h"
 #include "system/fleet_service.h"
 
@@ -129,11 +132,12 @@ TEST(FleetService, PlacementTracksRateShift)
     config.arrivals.flashMultiplier = 8.0;
     FleetService service(config);
     service.start();
-    const size_t placedAtStart = service.placedThreads();
+    const size_t placedAtStart = service.manager().placedThreads();
     size_t placedPeak = placedAtStart;
     for (int k = 0; k < 40; ++k) {
         service.tick();
-        placedPeak = std::max(placedPeak, service.placedThreads());
+        placedPeak =
+            std::max(placedPeak, service.manager().placedThreads());
     }
     EXPECT_GT(placedPeak, placedAtStart);
     EXPECT_GT(service.stats().placements, 1);
@@ -156,6 +160,110 @@ TEST(FleetService, DrainAndMigrateOnServerCrash)
     // stalling until recovery.
     EXPECT_GT(service.stats().migratedQueries, 0u);
     EXPECT_GE(service.sustainedFraction(), 0.5);
+}
+
+TEST(FleetService, LadderRungThreeShedsTheServiceWorkload)
+{
+    FleetServiceConfig config = baseConfig();
+    config.serverCount = 8;
+    const recovery::RecoveryPolicy &policy = config.recovery;
+    FleetService service(config);
+    // One crash per server on shedFailureThreshold servers, all inside
+    // one stormWindow.
+    const int crashes = policy.shedFailureThreshold;
+    for (int i = 0; i < crashes; ++i) {
+        fault::FaultPlan plan;
+        plan.serverCrash(Seconds{0.1 + 0.01 * i}, Seconds{0.3});
+        service.setFaultPlan(size_t(i), plan);
+    }
+    obs::Counter &migrations =
+        obs::registry().counter("recovery.migrations_total");
+    const int64_t migrations0 = migrations.value();
+    service.start();
+
+    recovery::RecoveryManager &manager = service.manager();
+    for (int k = 0; k < 40 && manager.degradationRung() < 3; ++k)
+        service.tick();
+    ASSERT_EQ(manager.degradationRung(), 3);
+
+    // The manager reports what it dropped from the service's request.
+    const size_t shed = size_t(
+        obs::registry().gauge("recovery.shed_threads").value());
+    const size_t requested = manager.placedThreads() + shed;
+    ASSERT_GT(requested, 4u);
+    EXPECT_EQ(shed, size_t(double(requested) * policy.shedFraction));
+    EXPECT_NEAR(double(manager.placedThreads()) / double(requested),
+                1.0 - policy.shedFraction, 0.1);
+    EXPECT_GT(migrations.value() - migrations0, 0);
+}
+
+/** Cores running a thread on the servers the manager may place on. */
+size_t
+runningServableCores(FleetService &service)
+{
+    size_t running = 0;
+    for (size_t i = 0; i < service.serverCount(); ++i) {
+        if (!service.manager().servable(i))
+            continue;
+        Server &server = service.server(i);
+        for (size_t s = 0; s < server.socketCount(); ++s) {
+            const chip::Chip &c = server.chip(s);
+            for (size_t core = 0; core < c.coreCount(); ++core)
+                running += c.load(core).active ? 1 : 0;
+        }
+    }
+    return running;
+}
+
+TEST(FleetService, RecoveredServersRunOnlyPlacedThreads)
+{
+    // ~5% of capacity with a diurnal swing: few sockets carry threads
+    // and placements keep moving, so a server that returns with cold,
+    // checkpointed, or pre-outage loads holds threads the manager no
+    // longer counts unless its every socket is rewritten.
+    FleetServiceConfig config = baseConfig();
+    config.serverCount = 8;
+    config.arrivals.kind = workload::ArrivalKind::Diurnal;
+    config.arrivals.baseRatePerSec = 3200.0;
+    config.arrivals.diurnalPeriod = Seconds{0.5};
+    config.arrivals.diurnalAmplitude = 0.6;
+    FleetService service(config);
+    fault::FaultPlan crashes;
+    crashes.serverCrash(Seconds{0.05}, Seconds{0.1}); // cold restart
+    crashes.serverCrash(Seconds{0.75}, Seconds{0.2}); // restore
+    fault::FaultPlan longHang; // power-cycled by a probe, restored
+    longHang.serverHang(Seconds{1.2}, Seconds{0.4});
+    service.setFaultPlan(1, crashes);
+    service.setFaultPlan(5, longHang);
+    service.start();
+
+    recovery::RecoveryManager &manager = service.manager();
+    auto servableSet = [&] {
+        std::vector<bool> set;
+        for (size_t i = 0; i < service.serverCount(); ++i)
+            set.push_back(manager.servable(i));
+        return set;
+    };
+    std::vector<bool> previous = servableSet();
+    int lastEdge = -100;
+    int checked = 0;
+    for (int k = 0; k < 200; ++k) {
+        service.tick();
+        const std::vector<bool> now = servableSet();
+        if (now != previous)
+            lastEdge = k;
+        previous = now;
+        // A server that froze is unservable at once but keeps its
+        // threads until the watchdog notices (up to two quanta).
+        if (k - lastEdge <= 2)
+            continue;
+        ++checked;
+        EXPECT_EQ(runningServableCores(service), manager.placedThreads())
+            << "quantum " << k;
+    }
+    EXPECT_EQ(manager.failures(), 3);
+    EXPECT_EQ(manager.recoveries(), 3);
+    EXPECT_GE(checked, 180);
 }
 
 TEST(FleetService, FlashCrowdFiresAndResolvesSlo)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/error.h"
 #include "core/placement.h"
@@ -122,6 +123,59 @@ TEST(Placement, Validation)
     // Budget above machine.
     EXPECT_THROW(makePlacementPlan(PlacementPolicy::Consolidate, 2, 8, 4,
                                    20), ConfigError);
+}
+
+TEST(SplitByWeight, SharesSumToTheCount)
+{
+    const std::vector<double> weights = {3.0, 0.0, 1.5, 7.25, 2.0};
+    for (uint64_t count : {0u, 1u, 2u, 7u, 13u, 100u, 1001u}) {
+        const std::vector<uint64_t> shares = splitByWeight(count, weights);
+        ASSERT_EQ(shares.size(), weights.size());
+        uint64_t sum = 0;
+        for (uint64_t share : shares)
+            sum += share;
+        EXPECT_EQ(sum, count);
+        EXPECT_EQ(shares[1], 0u) << "zero weight gets nothing";
+    }
+    EXPECT_EQ(splitByWeight(5, {0.0, 0.0}),
+              (std::vector<uint64_t>{0, 0}));
+}
+
+TEST(SplitByWeight, TiesBreakByIndex)
+{
+    EXPECT_EQ(splitByWeight(2, {1.0, 1.0, 1.0}),
+              (std::vector<uint64_t>{1, 1, 0}));
+    EXPECT_EQ(splitByWeight(5, {4.0, 4.0, 4.0, 4.0}),
+              (std::vector<uint64_t>{2, 1, 1, 1}));
+    // The largest remainder wins before any tie-break.
+    EXPECT_EQ(splitByWeight(1, {1.0, 2.0}),
+              (std::vector<uint64_t>{0, 1}));
+}
+
+TEST(SplitByWeight, CapacityWeightsNeverOverfill)
+{
+    // Integer capacities as weights and count <= total capacity: no
+    // share exceeds its server's capacity, so no overflow pass is
+    // needed after the split.
+    const std::vector<std::vector<double>> fleets = {
+        {16.0, 16.0, 16.0},
+        {16.0, 0.0, 8.0, 32.0},
+        {1.0, 2.0, 3.0, 5.0, 7.0, 11.0},
+        {16.0, 16.0, 0.0, 16.0, 16.0, 16.0, 0.0},
+    };
+    for (const std::vector<double> &capacity : fleets) {
+        uint64_t total = 0;
+        for (double c : capacity)
+            total += uint64_t(c);
+        for (uint64_t count = 0; count <= total; ++count) {
+            const std::vector<uint64_t> shares =
+                splitByWeight(count, capacity);
+            for (size_t i = 0; i < capacity.size(); ++i) {
+                EXPECT_LE(double(shares[i]), capacity[i])
+                    << "count " << count << " server " << i;
+            }
+        }
+    }
 }
 
 TEST(Placement, PolicyNames)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -292,6 +293,24 @@ TEST(RecoveryManager, CorrelatedStormClimbsLadderThenDeescalates)
         obs::registry().counter("recovery.ladder_transitions_total")
             .value(),
         3);
+}
+
+TEST(RecoveryManager, CheckpointCapturesAreStaggered)
+{
+    // Server i's first capture lands i/N of an interval after server
+    // 0's, so no tick encodes more than a slice of the fleet.
+    TestFleet fleet(4, RecoveryPolicy{});
+    fleet.manager.setWorkload(8, workerLoad());
+    int64_t busiestTick = 0;
+    for (int t = 0; t < 1000; ++t) {
+        const int64_t before = fleet.manager.checkpoints();
+        fleet.run(kDt);
+        busiestTick =
+            std::max(busiestTick, fleet.manager.checkpoints() - before);
+    }
+    EXPECT_EQ(busiestTick, 1);
+    // Still one capture per server per interval once the phases are in.
+    EXPECT_GE(fleet.manager.checkpoints(), 4 * 8);
 }
 
 TEST(RecoveryManager, EnabledIsBitIdenticalToDisabledWithoutFailures)
