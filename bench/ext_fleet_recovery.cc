@@ -15,7 +15,7 @@
  *              capacity is simply lost.
  *  - recovery: a RecoveryManager watches heartbeats, probes and
  *              restarts failed servers, restores their chips from
- *              periodic AGCK checkpoints, drains threads onto the
+ *              periodic in-memory checkpoints, drains threads onto the
  *              survivors during each outage, and walks the degradation
  *              ladder through the correlated burst.
  *

@@ -50,12 +50,10 @@
 // Platform
 #include "chip/chip.h"
 #include "chip/power_cap.h"
-#include "chip/power_proxy.h"
 #include "system/server.h"
 #include "system/simulation.h"
 
 // Workloads and QoS
-#include "qos/service_presets.h"
 #include "qos/websearch.h"
 #include "workload/generator.h"
 #include "workload/library.h"

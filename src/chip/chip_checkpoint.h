@@ -18,8 +18,9 @@
  * completed telemetry windows, the droop histogram, obs metrics/trace
  * state, and the per-step scratch buffers (recomputed every tick).
  *
- * The struct is a plain value; the wire format lives in
- * src/recovery/checkpoint_codec.h (versioned, corruption-checked).
+ * The struct is a plain in-memory value with no serialized form: the
+ * recovery manager stores it per socket and hands it straight back to
+ * Chip::restoreCheckpoint.
  */
 
 #ifndef AGSIM_CHIP_CHIP_CHECKPOINT_H

@@ -114,50 +114,4 @@ AdaptiveMappingScheduler::decide(
     return decision;
 }
 
-std::vector<MappingDecision>
-AdaptiveMappingScheduler::decideAll(
-    const std::vector<CriticalAppState> &apps,
-    std::vector<CorunnerPoolEntry> &pool) const
-{
-    fatalIf(pool.empty(), "adaptive mapping needs a co-runner pool");
-    for (const auto &app : apps) {
-        fatalIf(app.currentCorunner >= pool.size(),
-                "app '" + app.name + "': current co-runner out of range");
-    }
-
-    std::vector<MappingDecision> decisions;
-    decisions.reserve(apps.size());
-    for (const auto &app : apps) {
-        // Visible candidates: classes with availability, plus the app's
-        // current class (swapping back to it is always possible).
-        // Track the mapping back to pool indices.
-        std::vector<CorunnerOption> visible;
-        std::vector<size_t> poolIndex;
-        size_t currentVisible = 0;
-        for (size_t i = 0; i < pool.size(); ++i) {
-            if (pool[i].available == 0 && i != app.currentCorunner)
-                continue;
-            if (i == app.currentCorunner)
-                currentVisible = visible.size();
-            visible.push_back(pool[i].option);
-            poolIndex.push_back(i);
-        }
-
-        MappingDecision decision =
-            decide(app.violationRate, app.qosTarget, app.ownMips,
-                   currentVisible, visible,
-                   app.health ? &*app.health : nullptr);
-        const size_t chosenPool = poolIndex[decision.corunnerIndex];
-        decision.corunnerIndex = chosenPool;
-        if (decision.swap) {
-            panicIf(pool[chosenPool].available == 0,
-                    "scheduler chose an exhausted co-runner class");
-            --pool[chosenPool].available;
-            ++pool[app.currentCorunner].available;
-        }
-        decisions.push_back(std::move(decision));
-    }
-    return decisions;
-}
-
 } // namespace agsim::core

@@ -22,7 +22,6 @@
 #define AGSIM_CORE_ADAPTIVE_MAPPING_H
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,35 +40,6 @@ struct CorunnerOption
     double totalMips = 0.0;
     /** Memory pressure proxy (e.g. LLC-miss-rate-weighted MIPS). */
     double memoryPressure = 0.0;
-};
-
-/** One critical application's state at a scheduling quantum. */
-struct CriticalAppState
-{
-    std::string name;
-    /** Fraction of recent QoS windows violating the SLA. */
-    double violationRate = 0.0;
-    /** SLA metric value (e.g. 0.5 s p90). */
-    double qosTarget = 0.0;
-    /** The app's own MIPS contribution. */
-    double ownMips = 0.0;
-    /** Index into the co-runner pool of the currently mapped class. */
-    size_t currentCorunner = 0;
-    /**
-     * Safety telemetry of the chip hosting this app, when available:
-     * a demoted host cannot reach the frequencies the predictor was
-     * trained on, so its MIPS budget is discounted (see
-     * AdaptiveMappingParams::demotedMipsDiscount).
-     */
-    std::optional<chip::ChipHealthView> health;
-};
-
-/** A co-runner class with a finite number of schedulable instances. */
-struct CorunnerPoolEntry
-{
-    CorunnerOption option;
-    /** Unassigned instances of this class. */
-    size_t available = 0;
 };
 
 /** The scheduler's verdict for one quantum. */
@@ -149,21 +119,6 @@ class AdaptiveMappingScheduler
                            const std::vector<CorunnerOption> &candidates,
                            const chip::ChipHealthView *health = nullptr)
         const;
-
-    /**
-     * One quantum over several critical apps sharing a finite co-runner
-     * pool (the Fig. 18 "check next App/VM" loop). Apps are processed
-     * in order (descending priority); a swap consumes an instance of
-     * the chosen class and releases the previous one back to the pool.
-     * Classes with no available instances are invisible to later apps.
-     *
-     * @param apps Per-app states (currentCorunner indexes `pool`).
-     * @param pool Co-runner classes with availability; mutated in place.
-     * @return One decision per app, in input order.
-     */
-    std::vector<MappingDecision>
-    decideAll(const std::vector<CriticalAppState> &apps,
-              std::vector<CorunnerPoolEntry> &pool) const;
 
     const MipsFreqPredictor &predictor() const { return predictor_; }
     const FreqQosModel &qosModel() const { return qosModel_; }

@@ -65,12 +65,4 @@ runScheduledBatch(const std::vector<ScheduledRunSpec> &specs, size_t jobs)
     return results;
 }
 
-Watts
-measureChipPower(const ScheduledRunSpec &spec, Seconds duration)
-{
-    ScheduledRunSpec copy = spec;
-    copy.simConfig.measureDuration = duration;
-    return runScheduled(copy).metrics.totalChipPower;
-}
-
 } // namespace agsim::core

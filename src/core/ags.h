@@ -96,13 +96,6 @@ std::vector<ScheduledRunResult>
 runScheduledBatch(const std::vector<ScheduledRunSpec> &specs,
                   size_t jobs = 1);
 
-/**
- * Convenience wrapper: measure mean chip power (both sockets) for a
- * spec, using a fixed-duration rate measurement.
- */
-Watts measureChipPower(const ScheduledRunSpec &spec,
-                       Seconds duration = Seconds{2.0});
-
 } // namespace agsim::core
 
 #endif // AGSIM_CORE_AGS_H

@@ -89,13 +89,6 @@ makePlacementPlan(PlacementPolicy policy, size_t socketCount,
     return plan;
 }
 
-void
-applyGating(system::WorkloadSimulation &sim, const PlacementPlan &plan)
-{
-    for (const auto &[socket, core] : plan.gatedCores)
-        sim.gateCore(socket, core);
-}
-
 std::vector<uint64_t>
 splitByWeight(uint64_t count, const std::vector<double> &weights)
 {

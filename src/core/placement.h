@@ -70,12 +70,6 @@ PlacementPlan makePlacementPlan(PlacementPolicy policy, size_t socketCount,
                                 size_t poweredCoreBudget);
 
 /**
- * Apply a plan to a simulation: adds gating; returns the thread
- * placement for the caller to attach to its Job.
- */
-void applyGating(system::WorkloadSimulation &sim, const PlacementPlan &plan);
-
-/**
  * Largest-remainder split of `count` over `weights`: share i is
  * floor(count * w_i / sum(w)), plus one for the largest fractional
  * remainders (ties to the lower index), so the shares sum to `count`

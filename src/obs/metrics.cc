@@ -143,13 +143,6 @@ MetricRegistry::setMaxSeriesPerMetric(size_t cap)
     maxSeriesPerMetric_ = cap;
 }
 
-size_t
-MetricRegistry::maxSeriesPerMetric() const
-{
-    ag::MutexLock lock(mutex_);
-    return maxSeriesPerMetric_;
-}
-
 int64_t
 MetricRegistry::droppedSeries() const
 {

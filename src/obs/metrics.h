@@ -168,9 +168,6 @@ class MetricRegistry
      */
     void setMaxSeriesPerMetric(size_t cap);
 
-    /** The current per-metric-name series cap (0 = unbounded). */
-    size_t maxSeriesPerMetric() const;
-
     /**
      * Registrations rejected by the cardinality cap so far (the live
      * value of the `obs.dropped_series_total` counter).

@@ -91,12 +91,6 @@ setEventTap(std::function<void(const TraceEvent &)> tap)
     tapOn.store(bool(tapSlot()), std::memory_order_release);
 }
 
-bool
-eventTapInstalled()
-{
-    return tapOn.load(std::memory_order_acquire);
-}
-
 void
 emit(TraceEvent event)
 {

@@ -85,9 +85,6 @@ void emit(TraceEvent event);
  */
 void setEventTap(std::function<void(const TraceEvent &)> tap);
 
-/** Whether an event tap is currently installed. */
-bool eventTapInstalled();
-
 /**
  * Test/bench hygiene: clear the recorder, zero every metric, disable
  * tracing and profiling. Handles stay valid.

@@ -9,11 +9,16 @@
 
 namespace agsim::obs::telemetry {
 
+namespace {
+
+/** Pre-window ring capacity (events). */
+constexpr size_t kRingCapacity = 4096;
+
+} // namespace
+
 FlightRecorder::FlightRecorder(FlightRecorderConfig config)
     : config_(std::move(config))
 {
-    fatalIf(config_.ringCapacity == 0,
-            "flight recorder needs a positive ring capacity");
     fatalIf(config_.preWindow < Seconds{0.0} ||
                 config_.postWindow < Seconds{0.0},
             "flight recorder windows must be non-negative");
@@ -39,7 +44,7 @@ FlightRecorder::pruneLocked(Seconds now)
         while (!ring_.empty() && ring_.front().simTime < horizon)
             ring_.pop_front();
     }
-    while (ring_.size() > config_.ringCapacity)
+    while (ring_.size() > kRingCapacity)
         ring_.pop_front();
 }
 
@@ -49,17 +54,13 @@ FlightRecorder::observe(const TraceEvent &event)
     ag::MutexLock lock(mutex_);
     ring_.push_back(event);
     pruneLocked(event.simTime);
-    if (event.kind == TraceKind::FlightDump)
+    if (event.kind != TraceKind::ServerFailure &&
+        event.kind != TraceKind::DegradationStep)
         return;
-    for (TraceKind kind : config_.triggerKinds) {
-        if (event.kind != kind)
-            continue;
-        std::string reason = traceKindName(event.kind);
-        if (!event.detail.empty())
-            reason += ":" + event.detail;
-        armLocked(reason, event.simTime);
-        break;
-    }
+    std::string reason = traceKindName(event.kind);
+    if (!event.detail.empty())
+        reason += ":" + event.detail;
+    armLocked(reason, event.simTime);
 }
 
 void

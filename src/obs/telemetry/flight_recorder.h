@@ -43,15 +43,10 @@ struct FlightRecorderConfig
     Seconds preWindow = Seconds{0.1};
     /** Recording continues this far past the trigger. */
     Seconds postWindow = Seconds{0.05};
-    /** Pre-window ring capacity (events). */
-    size_t ringCapacity = 4096;
     /** Directory dumps are written into (must exist). */
     std::string dir = ".";
     /** Hard cap on dumps per run. */
     size_t maxDumps = 16;
-    /** Event kinds that auto-trigger a capture. */
-    std::vector<TraceKind> triggerKinds = {TraceKind::ServerFailure,
-                                           TraceKind::DegradationStep};
 };
 
 /** One finished capture. */
@@ -76,8 +71,8 @@ class FlightRecorder
 
     /**
      * Feed one event (hook this to obs::setEventTap). Auto-triggers on
-     * configured kinds; FlightDump events are recorded but never
-     * trigger (a dump must not dump itself).
+     * ServerFailure and DegradationStep; every other kind, FlightDump
+     * included, is recorded but never triggers.
      */
     void observe(const TraceEvent &event);
 

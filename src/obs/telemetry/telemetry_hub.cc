@@ -7,12 +7,20 @@
 
 namespace agsim::obs::telemetry {
 
+namespace {
+
+/** Buckets retained per shard lane. */
+constexpr size_t kRingBuckets = 1024;
+/** Relative accuracy of the quantile sketches. */
+constexpr double kSketchAccuracy = 0.01;
+
+} // namespace
+
 TelemetryHub::TelemetryHub(TelemetryConfig config)
     : config_(std::move(config))
 {
     fatalIf(config_.sampleInterval <= Seconds{0.0},
             "telemetry sample interval must be positive");
-    fatalIf(config_.ringBuckets < 2, "telemetry needs >= 2 ring buckets");
     if (config_.streamInterval <= Seconds{0.0})
         config_.streamInterval = config_.sampleInterval;
     if (!config_.enabled)
@@ -45,7 +53,7 @@ TelemetryHub::TelemetryHub(TelemetryConfig config)
             line.set("long_burn", state.longBurn);
             stream_.writeLine(line);
         }
-        if (fired && recorder_ && config_.recorderOnAlerts)
+        if (fired && recorder_)
             recorder_->trigger("slo:" + state.rule.name, state.firedAt);
     });
 }
@@ -73,9 +81,8 @@ TelemetryHub::declareSeries(const std::string &name, size_t shards)
     series->buffers.reserve(shards);
     series->sketches.reserve(shards);
     for (size_t i = 0; i < shards; ++i) {
-        series->buffers.emplace_back(config_.sampleInterval,
-                                     config_.ringBuckets);
-        series->sketches.emplace_back(config_.sketchAccuracy);
+        series->buffers.emplace_back(config_.sampleInterval, kRingBuckets);
+        series->sketches.emplace_back(kSketchAccuracy);
     }
     const SeriesId id = series_.size();
     series_.push_back(std::move(series));
@@ -107,20 +114,10 @@ stats::QuantileSketch
 TelemetryHub::mergedSketch(SeriesId id) const
 {
     fatalIf(id >= series_.size(), "unknown telemetry series id");
-    stats::QuantileSketch out(config_.sketchAccuracy);
+    stats::QuantileSketch out(kSketchAccuracy);
     for (const stats::QuantileSketch &sketch : series_[id]->sketches)
         out.merge(sketch);
     return out;
-}
-
-std::vector<std::string>
-TelemetryHub::seriesNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(series_.size());
-    for (const auto &series : series_)
-        names.push_back(series->name);
-    return names;
 }
 
 void

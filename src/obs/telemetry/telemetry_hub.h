@@ -10,8 +10,7 @@
  *  - per-shard mergeable QuantileSketches for the same series, giving
  *    cheap p50/p99 over the full run without retaining samples;
  *  - an SloEngine evaluated on the sample cadence against the merged
- *    series, with fire edges optionally pulling the flight-recorder
- *    trigger;
+ *    series, with fire edges pulling the flight-recorder trigger;
  *  - a FlightRecorder fed by the global obs event tap (installed by
  *    the hub when enabled);
  *  - a StreamExporter appending live sample/alert/dump JSONL lines
@@ -55,10 +54,6 @@ struct TelemetryConfig
     bool enabled = false;
     /** Time-series bucket width (sim seconds). */
     Seconds sampleInterval = Seconds{0.01};
-    /** Buckets retained per shard lane. */
-    size_t ringBuckets = 1024;
-    /** Relative accuracy of the quantile sketches. */
-    double sketchAccuracy = 0.01;
     /** Streaming JSONL path ("" = no stream). */
     std::string streamPath;
     /** Stream/SLO/recorder tick cadence (defaults to sampleInterval). */
@@ -66,8 +61,6 @@ struct TelemetryConfig
     /** Attach a flight recorder (installs the obs event tap). */
     bool enableRecorder = false;
     FlightRecorderConfig recorder;
-    /** SLO fire edges pull the flight-recorder trigger. */
-    bool recorderOnAlerts = true;
 };
 
 /** Stable handle for a declared series (index; cheap to copy). */
@@ -118,9 +111,6 @@ class TelemetryHub
 
     /** Cross-shard quantile sketch for a series. */
     stats::QuantileSketch mergedSketch(SeriesId id) const;
-
-    /** Declared series names, in declaration order. */
-    std::vector<std::string> seriesNames() const;
 
     SloEngine &slo() { return slo_; }
     const SloEngine &slo() const { return slo_; }

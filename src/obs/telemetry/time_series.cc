@@ -7,20 +7,6 @@
 
 namespace agsim::obs::telemetry {
 
-const char *
-bucketStatName(BucketStat stat)
-{
-    switch (stat) {
-      case BucketStat::Mean: return "mean";
-      case BucketStat::Min: return "min";
-      case BucketStat::Max: return "max";
-      case BucketStat::Last: return "last";
-      case BucketStat::Sum: return "sum";
-      case BucketStat::Count: return "count";
-    }
-    return "?";
-}
-
 double
 bucketStatValue(const TimeBucket &bucket, BucketStat stat)
 {

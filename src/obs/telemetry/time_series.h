@@ -83,9 +83,6 @@ enum class BucketStat
     Count,
 };
 
-/** Stable lowercase name (stream schema, SLO rule parsing). */
-const char *bucketStatName(BucketStat stat);
-
 /** Extract one scalar from a bucket. */
 double bucketStatValue(const TimeBucket &bucket, BucketStat stat);
 

@@ -171,28 +171,10 @@ traceEventJson(const TraceEvent &event)
     return record.str();
 }
 
-std::string
-traceJsonl(const std::vector<TraceEvent> &events)
-{
-    const std::vector<TraceEvent> sorted = sortedForExport(events);
-    std::string out;
-    for (const TraceEvent &event : sorted) {
-        out += traceEventJson(event);
-        out += "\n";
-    }
-    return out;
-}
-
 bool
 writeChromeTrace(const TraceRecorder &recorder, const std::string &path)
 {
     return writeTextFile(path, chromeTraceJson(recorder.events()));
-}
-
-bool
-writeTraceJsonl(const TraceRecorder &recorder, const std::string &path)
-{
-    return writeTextFile(path, traceJsonl(recorder.events()));
 }
 
 } // namespace agsim::obs

@@ -148,23 +148,15 @@ class TraceRecorder
  */
 std::string chromeTraceJson(const std::vector<TraceEvent> &events);
 
-/** Render events as JSONL: one flat JSON object per line. */
-std::string traceJsonl(const std::vector<TraceEvent> &events);
-
 /**
- * Render one event as a single flat JSON object (no trailing newline) —
- * the line format traceJsonl emits, shared with the flight recorder's
- * dump files so every exported event spells fields identically.
+ * Render one event as a single flat JSON object (no trailing newline):
+ * the event line format of the flight recorder's JSONL dump files.
  */
 std::string traceEventJson(const TraceEvent &event);
 
 /** Export a recorder's events to a Chrome trace file. */
 bool writeChromeTrace(const TraceRecorder &recorder,
                       const std::string &path);
-
-/** Export a recorder's events to a JSONL file. */
-bool writeTraceJsonl(const TraceRecorder &recorder,
-                     const std::string &path);
 
 } // namespace agsim::obs
 

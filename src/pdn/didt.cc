@@ -16,12 +16,6 @@ DidtModel::DidtModel(const DidtParams &params, uint64_t seed, uint64_t stream)
             "negative jitter");
 }
 
-void
-DidtModel::reseed(uint64_t seed, uint64_t stream)
-{
-    rng_.reseed(seed, stream);
-}
-
 size_t
 DidtModel::activeCount(std::span<const Volts> amps)
 {

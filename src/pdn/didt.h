@@ -105,9 +105,6 @@ class DidtModel
                     std::span<const Volts> worstAmps, Seconds dt,
                     double rateScale = 1.0);
 
-    /** Deterministic reseed (per-run reproducibility). */
-    void reseed(uint64_t seed, uint64_t stream = 0);
-
     /** Snapshot the draw-stream state (for chip checkpoints). */
     Rng::State rngState() const { return rng_.state(); }
 

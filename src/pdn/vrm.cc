@@ -116,12 +116,6 @@ Vrm::dacStuck(size_t rail) const
     return railAt(rail).dacStuck;
 }
 
-Volts
-Vrm::dacOffset(size_t rail) const
-{
-    return railAt(rail).dacOffset;
-}
-
 void
 Vrm::clearFaults()
 {

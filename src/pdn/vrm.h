@@ -93,7 +93,6 @@ class Vrm
     void injectDacOffset(size_t rail, Volts offset);
 
     bool dacStuck(size_t rail) const;
-    Volts dacOffset(size_t rail) const;
 
     /** Clear injected fault state on every rail. */
     void clearFaults();

@@ -5,7 +5,6 @@
 
 #include "common/error.h"
 #include "obs/observability.h"
-#include "recovery/checkpoint_codec.h"
 
 namespace agsim::recovery {
 
@@ -33,18 +32,6 @@ RecoveryPolicy::validate() const
             "storm window must be positive");
     fatalIf(shedFraction < 0.0 || shedFraction >= 1.0,
             "shed fraction must be in [0, 1)");
-}
-
-const char *
-serverRecoveryStateName(ServerRecoveryState state)
-{
-    switch (state) {
-      case ServerRecoveryState::Online: return "online";
-      case ServerRecoveryState::Failed: return "failed";
-      case ServerRecoveryState::Restoring: return "restoring";
-      case ServerRecoveryState::Abandoned: return "abandoned";
-    }
-    return "?";
 }
 
 RecoveryManager::RecoveryManager(system::FleetStepper *stepper,
@@ -365,12 +352,9 @@ RecoveryManager::completeRestores()
             continue;
         const char *how = "warm";
         if (record.stateLost && record.hasCheckpoint) {
-            // Round-trip through the AGCK bytes: every recovery
-            // exercises the full wire format.
             for (size_t s = 0; s < record.server->socketCount(); ++s) {
-                const chip::ChipCheckpoint checkpoint = decodeChipCheckpoint(
-                    encodeChipCheckpoint(record.checkpoints[s]));
-                record.server->chip(s).restoreCheckpoint(checkpoint);
+                record.server->chip(s).restoreCheckpoint(
+                    record.checkpoints[s]);
             }
             how = "restore";
             obsRestores_->add(1);
@@ -506,11 +490,19 @@ RecoveryManager::applyPlacement()
     const std::vector<uint64_t> counts =
         core::splitByWeight(want, capacity);
 
-    int64_t moved = 0;
+    // A thread migrates only when one server loses it and another
+    // gains it; a fleet-wide shrink or growth alone moves nothing.
+    int64_t lost = 0;
+    int64_t gained = 0;
     for (size_t i = 0; i < servers_.size(); ++i) {
-        if (counts[i] < servers_[i].assignedThreads)
-            moved += int64_t(servers_[i].assignedThreads - counts[i]);
+        const int64_t delta =
+            int64_t(counts[i]) - int64_t(servers_[i].assignedThreads);
+        if (delta < 0)
+            lost -= delta;
+        else
+            gained += delta;
     }
+    const int64_t moved = std::min(lost, gained);
     if (moved > 0)
         obsMigrations_->add(moved);
 

@@ -8,9 +8,8 @@
  * server-scope half of the fault model (FaultScope::Server plans),
  * watches every server for step progress, restarts failed ones with
  * exponential-backoff probes, restores their chips from periodically
- * captured ChipCheckpoints (round-tripped through the AGCK bytes on
- * every restore, so each recovery exercises the wire format while the
- * periodic capture stays a plain copy), and walks a fleet-wide
+ * captured ChipCheckpoints (plain in-memory values: capture is a copy
+ * and restore reads the stored value back), and walks a fleet-wide
  * graceful-degradation ladder when failures arrive in correlated
  * storms.
  *
@@ -131,9 +130,6 @@ enum class ServerRecoveryState
     /** Probe budget exhausted; the server is written off. */
     Abandoned,
 };
-
-/** Stable lowercase state name (logs, trace details). */
-const char *serverRecoveryStateName(ServerRecoveryState state);
 
 /**
  * Watches a fleet, repairs failed servers, keeps the workload placed on

@@ -93,12 +93,6 @@ Cpm::readAt(Volts excess, double scaling) const
 }
 
 Volts
-Cpm::controlBias(Hertz f) const
-{
-    return controlOffsetBits_ * voltsPerBit(f);
-}
-
-Volts
 Cpm::controlBiasScaled(double scaling) const
 {
     return controlOffsetBits_ *

@@ -91,8 +91,9 @@ class Cpm
      * The five CPMs of a bank read the same (voltage, frequency) pair,
      * so the margin excess and the frequency-dependent sensitivity
      * scaling are computed once per bank read and shared; only the
-     * per-instance variation is applied per CPM. Value-identical to
-     * read()/controlBias() — CpmBank uses these on the per-step path.
+     * per-instance variation is applied per CPM. readAt is
+     * value-identical to read() — CpmBank uses these on the per-step
+     * path.
      */
     /// @{
 
@@ -102,7 +103,12 @@ class Cpm
     /** read() given precomputed margin excess and frequency scaling. */
     int readAt(Volts excess, double scaling) const;
 
-    /** controlBias() given precomputed frequency scaling. */
+    /**
+     * Voltage error this CPM injects into the control loop, given the
+     * precomputed frequency scaling: its residual calibration error
+     * expressed in volts. Negative values make the DPLL conservative
+     * (it believes margin is smaller than it is).
+     */
     Volts controlBiasScaled(double scaling) const;
 
     /// @}
@@ -114,14 +120,6 @@ class Cpm
      * does not know each CPM's private variation.
      */
     Volts positionToVoltage(double position, Hertz f) const;
-
-    /**
-     * Voltage error this CPM injects into the control loop at
-     * frequency f: its residual calibration error expressed in volts.
-     * Negative values make the DPLL conservative (it believes margin
-     * is smaller than it is).
-     */
-    Volts controlBias(Hertz f) const;
 
     const CpmParams &params() const { return params_; }
     const power::VfCurve *curve() const { return curve_; }

@@ -102,10 +102,9 @@ FleetStepper::freeze()
         tsFreq_ = hub_->declareSeries("fleet.freq_ghz", shards);
         tsPower_ = hub_->declareSeries("fleet.power_w", shards);
     }
-    if (!config_.adoptSoA)
-        return;
-    // A shared arena needs one per-core lane stride; mixed-core fleets
-    // keep their private blocks (correct either way, just less dense).
+    // Migrate every chip into one shared SoA arena. The arena needs one
+    // per-core lane stride; mixed-core fleets keep their private blocks
+    // (correct either way, just less dense).
     const size_t cores = slots_.front().chip->coreCount();
     for (const Slot &slot : slots_) {
         if (slot.chip->coreCount() != cores)

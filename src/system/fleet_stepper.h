@@ -94,12 +94,6 @@ struct FleetStepperConfig
      */
     bool stealing = false;
     PhaseDetectorParams detector;
-    /**
-     * Migrate all chips into one shared SoA arena on the first run.
-     * Requires a uniform core count across the fleet; skipped (with no
-     * behaviour change) otherwise.
-     */
-    bool adoptSoA = true;
 };
 
 /**

@@ -16,10 +16,10 @@ namespace agsim::system {
 namespace {
 
 /**
- * Closes the task's trace timeline on every exit path. A throwing
- * sim.run (swallowed by runAllPartial) used to leave an orphan
- * TaskBegin with no TaskEnd, so trace consumers saw the task as still
- * running; the guard emits an error-tagged TaskEnd instead.
+ * Closes the task's trace timeline on every exit path: a throwing
+ * task would otherwise leave an orphan TaskBegin with no TaskEnd, so
+ * trace consumers would see it as still running; the guard emits an
+ * error-tagged TaskEnd instead.
  */
 class TaskEndGuard
 {
@@ -75,8 +75,6 @@ runBatchTask(const BatchTask &task)
     std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
     Server server(task.serverConfig);
     server.setMode(task.mode);
-    if (task.targetFrequency > Hertz{0.0})
-        server.setTargetFrequency(task.targetFrequency);
     for (const auto &[socket, plan] : task.faultPlans) {
         fatalIf(socket >= server.socketCount(),
                 "fault plan targets a socket the server does not have");
@@ -131,62 +129,6 @@ runBatchTask(const BatchTask &task)
     return result;
 }
 
-namespace {
-
-/** Human-readable message for a captured task exception. */
-std::string
-exceptionMessage(const std::exception_ptr &error)
-{
-    try {
-        std::rethrow_exception(error);
-    } catch (const std::exception &e) {
-        return e.what();
-    } catch (...) {
-        return "unknown exception";
-    }
-}
-
-/** Every task's result slot and captured failure, in task order. */
-struct SweepSlots
-{
-    std::vector<BatchResult> results;
-    std::vector<std::exception_ptr> errors;
-};
-
-/**
- * Run every task as one sweep over task indices, catching each task's
- * exception into its own slot. One worker (or one task) runs inline.
- */
-SweepSlots
-sweepTasks(const std::vector<BatchTask> &tasks, size_t workers)
-{
-    SweepSlots slots;
-    slots.results.resize(tasks.size());
-    slots.errors.resize(tasks.size());
-    const StealPool::TaskFn runOne = [&](size_t, size_t i) {
-        try {
-            obs::TaskIdScope scope{int32_t(i)};
-            slots.results[i] = runBatchTask(tasks[i]);
-        } catch (...) {
-            slots.errors[i] = std::current_exception();
-            obs::registry().counter("batch.task_failures").add();
-        }
-    };
-    if (workers == 0)
-        workers = BatchRunner::hardwareWorkers();
-    workers = std::min(workers, tasks.size());
-    if (workers <= 1) {
-        for (size_t i = 0; i < tasks.size(); ++i)
-            runOne(0, i);
-    } else {
-        StealPool pool(workers);
-        pool.sweep(tasks.size(), runOne);
-    }
-    return slots;
-}
-
-} // namespace
-
 size_t
 BatchRunner::hardwareWorkers()
 {
@@ -197,27 +139,34 @@ BatchRunner::hardwareWorkers()
 std::vector<BatchResult>
 BatchRunner::runAll(std::vector<BatchTask> tasks, size_t workers)
 {
-    SweepSlots slots = sweepTasks(tasks, workers);
-    for (const std::exception_ptr &error : slots.errors) {
+    // One sweep over task indices; each task's exception lands in its
+    // own slot so every task runs before the first failure rethrows.
+    std::vector<BatchResult> results(tasks.size());
+    std::vector<std::exception_ptr> errors(tasks.size());
+    const StealPool::TaskFn runOne = [&](size_t, size_t i) {
+        try {
+            obs::TaskIdScope scope{int32_t(i)};
+            results[i] = runBatchTask(tasks[i]);
+        } catch (...) {
+            errors[i] = std::current_exception();
+            obs::registry().counter("batch.task_failures").add();
+        }
+    };
+    if (workers == 0)
+        workers = hardwareWorkers();
+    workers = std::min(workers, tasks.size());
+    if (workers <= 1) {
+        for (size_t i = 0; i < tasks.size(); ++i)
+            runOne(0, i);
+    } else {
+        StealPool pool(workers);
+        pool.sweep(tasks.size(), runOne);
+    }
+    for (const std::exception_ptr &error : errors) {
         if (error)
             std::rethrow_exception(error);
     }
-    return std::move(slots.results);
-}
-
-BatchOutcome
-BatchRunner::runAllPartial(std::vector<BatchTask> tasks, size_t workers)
-{
-    SweepSlots slots = sweepTasks(tasks, workers);
-    BatchOutcome outcome;
-    outcome.results = std::move(slots.results);
-    for (size_t i = 0; i < tasks.size(); ++i) {
-        if (slots.errors[i]) {
-            outcome.errors.push_back(
-                {i, tasks[i].label, exceptionMessage(slots.errors[i])});
-        }
-    }
-    return outcome;
+    return results;
 }
 
 } // namespace agsim::system

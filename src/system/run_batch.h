@@ -14,9 +14,10 @@
  *    simulation, and snapshots the end state. Nothing is shared between
  *    tasks, so results are bit-identical to serial execution regardless
  *    of worker count or completion order.
- *  - BatchRunner::runAll / runAllPartial: run a vector of tasks on a
- *    transient StealPool (system/steal_pool.h, the tree's one
- *    executor), catching each task's exception into its own slot.
+ *  - BatchRunner::runAll: run a vector of tasks on a transient
+ *    StealPool (system/steal_pool.h, the tree's one executor),
+ *    catching each task's exception into its own slot and rethrowing
+ *    the first in submission order once the whole sweep has run.
  *    Results come back in submission order; `workers == 1` runs
  *    inline on the caller. There is no runner object to keep: a
  *    batch is one call. BatchRunner stays a class of static entry
@@ -56,11 +57,6 @@ struct BatchTask
     SimulationConfig simConfig;
     /** Guardband mode applied to every socket before the run. */
     chip::GuardbandMode mode = chip::GuardbandMode::StaticGuardband;
-    /**
-     * DVFS target applied to every socket before the run; 0 keeps the
-     * chip template's target.
-     */
-    Hertz targetFrequency = Hertz{0.0};
     /** Jobs to schedule (placements must be disjoint). */
     std::vector<Job> jobs;
     /** Cores to power-gate for the run: (socket, core). */
@@ -73,17 +69,6 @@ struct BatchTask
     std::vector<std::pair<size_t, fault::FaultPlan>> faultPlans;
     /** Caller's tag, copied into the result. */
     std::string label;
-};
-
-/** One captured task failure (runAllPartial). */
-struct BatchTaskError
-{
-    /** Submission index of the failed task. */
-    size_t taskIndex = 0;
-    /** The task's label. */
-    std::string label;
-    /** The exception's message. */
-    std::string message;
 };
 
 /** Outcome of one BatchTask. */
@@ -107,21 +92,6 @@ struct BatchResult
     std::vector<chip::ChipHealthView> finalHealth;
     /** Host wall-clock seconds this task took to execute. */
     Seconds wallTime = Seconds{0.0};
-};
-
-/** Results plus captured failures for one batch. */
-struct BatchOutcome
-{
-    /**
-     * Results in submission order, one slot per submitted task; a
-     * failed task's slot is default-constructed (empty label) and its
-     * index appears in `errors`.
-     */
-    std::vector<BatchResult> results;
-    /** Captured failures, ordered by task index. */
-    std::vector<BatchTaskError> errors;
-
-    bool ok() const { return errors.empty(); }
 };
 
 /**
@@ -158,15 +128,6 @@ class BatchRunner
      */
     static std::vector<BatchResult> runAll(std::vector<BatchTask> tasks,
                                            size_t workers = 0);
-
-    /**
-     * Run `tasks` without throwing for task failures: a failed task
-     * leaves a default-constructed result slot and its error appears
-     * in the outcome, so one bad point does not discard a whole sweep.
-     * Workers as for runAll.
-     */
-    static BatchOutcome runAllPartial(std::vector<BatchTask> tasks,
-                                      size_t workers = 0);
 };
 
 } // namespace agsim::system

@@ -64,13 +64,6 @@ Server::setMode(chip::GuardbandMode mode)
 }
 
 void
-Server::setTargetFrequency(Hertz f)
-{
-    for (auto &c : chips_)
-        c->setTargetFrequency(f);
-}
-
-void
 Server::clearLoads()
 {
     for (auto &c : chips_)

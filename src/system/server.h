@@ -58,7 +58,7 @@ class Server
     chip::Chip &chip(size_t socket);
     const chip::Chip &chip(size_t socket) const;
 
-    /** Raw chip pointers, one per socket (FleetStepper adoption). */
+    /** Raw chip pointers, one per socket, in socket order. */
     std::vector<chip::Chip *> chips();
 
     pdn::Vrm &vrm() { return vrm_; }
@@ -66,9 +66,6 @@ class Server
 
     /** Switch every socket's guardband mode. */
     void setMode(chip::GuardbandMode mode);
-
-    /** Set every socket's DVFS target. */
-    void setTargetFrequency(Hertz f);
 
     /** Set every core on every socket to powered-on idle. */
     void clearLoads();

@@ -241,18 +241,4 @@ placeOnSocket(size_t socket, size_t threads)
     return placement;
 }
 
-std::vector<ThreadPlacement>
-placeBalanced(size_t sockets, size_t threads)
-{
-    fatalIf(sockets == 0, "placeBalanced needs sockets");
-    std::vector<ThreadPlacement> placement;
-    placement.reserve(threads);
-    std::vector<size_t> nextCore(sockets, 0);
-    for (size_t t = 0; t < threads; ++t) {
-        const size_t socket = t % sockets;
-        placement.push_back(ThreadPlacement{socket, nextCore[socket]++});
-    }
-    return placement;
-}
-
 } // namespace agsim::system

@@ -165,12 +165,6 @@ class WorkloadSimulation
  */
 std::vector<ThreadPlacement> placeOnSocket(size_t socket, size_t threads);
 
-/**
- * Convenience: balance `threads` threads across `sockets` sockets
- * (loadline borrowing's placement), round-robin by socket.
- */
-std::vector<ThreadPlacement> placeBalanced(size_t sockets, size_t threads);
-
 } // namespace agsim::system
 
 #endif // AGSIM_SYSTEM_SIMULATION_H

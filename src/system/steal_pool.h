@@ -4,8 +4,8 @@
  * work in the tree.
  *
  * Two kinds of work run on it. FleetStepper sweeps chip shards once
- * per tick block (threads > 1), and BatchRunner::runAll/runAllPartial
- * sweep over independent experiment tasks (workers > 1). No switch
+ * per tick block (threads > 1), and BatchRunner::runAll sweeps
+ * over independent experiment tasks (workers > 1). No switch
  * selects it: FleetStepperConfig::stealing has no effect and is kept
  * only because the agbench/ harness still assigns it. Both are
  * barriers of mutually independent tasks whose cost can be wildly

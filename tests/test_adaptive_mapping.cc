@@ -183,65 +183,6 @@ TEST(AdaptiveMapping, ThresholdIsConfigurable)
     EXPECT_NE(decision.reason.find("co-runner"), std::string::npos);
 }
 
-std::vector<CorunnerPoolEntry>
-pooled(size_t lightCount, size_t mediumCount, size_t heavyCount)
-{
-    const auto c = candidates();
-    return {{c[0], lightCount}, {c[1], mediumCount}, {c[2], heavyCount}};
-}
-
-TEST(AdaptiveMappingPool, MultiAppSharesFinitePool)
-{
-    const auto scheduler = trainedScheduler();
-    // Two violating apps both mapped on heavy; only ONE light instance
-    // is free. The first (higher priority) app takes it; the second
-    // falls back to whatever remains visible.
-    std::vector<CriticalAppState> apps = {
-        {"search-a", 0.40, 0.5, 4500.0, 2, {}},
-        {"search-b", 0.40, 0.5, 4500.0, 2, {}},
-    };
-    auto pool = pooled(1, 0, 1);
-    const auto decisions = scheduler.decideAll(apps, pool);
-    ASSERT_EQ(decisions.size(), 2u);
-    EXPECT_TRUE(decisions[0].swap);
-    EXPECT_EQ(decisions[0].corunnerIndex, 0u); // takes the light slot
-    // Light is now exhausted; app b sees only heavy (its own class,
-    // one instance of which app a released).
-    EXPECT_FALSE(decisions[1].swap);
-    EXPECT_EQ(decisions[1].corunnerIndex, 2u);
-    // Pool bookkeeping: a's heavy instance went back.
-    EXPECT_EQ(pool[0].available, 0u);
-    EXPECT_EQ(pool[2].available, 2u);
-}
-
-TEST(AdaptiveMappingPool, ReleasedInstanceServesNextApp)
-{
-    const auto scheduler = trainedScheduler();
-    // App a swaps heavy -> light, releasing a heavy instance; app b
-    // (healthy QoS) keeps its mapping untouched.
-    std::vector<CriticalAppState> apps = {
-        {"violating", 0.40, 0.5, 4500.0, 2, {}},
-        {"healthy", 0.05, 0.5, 4500.0, 0, {}},
-    };
-    auto pool = pooled(1, 1, 0);
-    const auto decisions = scheduler.decideAll(apps, pool);
-    EXPECT_TRUE(decisions[0].swap);
-    EXPECT_FALSE(decisions[1].swap);
-    EXPECT_EQ(pool[2].available, 1u); // the released heavy instance
-}
-
-TEST(AdaptiveMappingPool, Validation)
-{
-    const auto scheduler = trainedScheduler();
-    std::vector<CorunnerPoolEntry> empty;
-    std::vector<CriticalAppState> apps = {{"a", 0.4, 0.5, 4500.0, 0, {}}};
-    EXPECT_THROW(scheduler.decideAll(apps, empty), ConfigError);
-
-    auto pool = pooled(1, 1, 1);
-    apps[0].currentCorunner = 9;
-    EXPECT_THROW(scheduler.decideAll(apps, pool), ConfigError);
-}
-
 TEST(AdaptiveMapping, Validation)
 {
     const auto scheduler = trainedScheduler();

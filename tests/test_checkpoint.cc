@@ -1,15 +1,12 @@
 /**
  * @file
  * ChipCheckpoint tests: a restored chip must continue *bit-identically*
- * to the checkpointed chip (the recovery subsystem's core guarantee),
- * and the AGCK wire format must round-trip exactly and fail loudly on
- * corruption.
+ * to the checkpointed chip (the recovery subsystem's core guarantee).
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <vector>
 
 #include "chip/chip.h"
 #include "chip/chip_checkpoint.h"
@@ -17,7 +14,6 @@
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "pdn/vrm.h"
-#include "recovery/checkpoint_codec.h"
 
 namespace agsim::recovery {
 namespace {
@@ -164,50 +160,6 @@ TEST(ChipCheckpoint, RestoreRejectsIdentityMismatch)
     chip::ChipCheckpoint wrongCores = c->checkpoint();
     wrongCores.coreCount += 1;
     EXPECT_THROW(c->restoreCheckpoint(wrongCores), ConfigError);
-}
-
-TEST(CheckpointCodec, EncodeDecodeRoundTripsExactly)
-{
-    pdn::Vrm vrm(1);
-    auto c = makeBusyChip(vrm, 333);
-    const chip::ChipCheckpoint original = c->checkpoint();
-
-    const std::vector<uint8_t> bytes = encodeChipCheckpoint(original);
-    const chip::ChipCheckpoint decoded = decodeChipCheckpoint(bytes);
-    // Bit-exactness of every field is implied by byte-exactness of the
-    // re-encoding (the codec writes raw IEEE-754 bit patterns).
-    EXPECT_EQ(encodeChipCheckpoint(decoded), bytes);
-
-    // And the decoded checkpoint actually restores.
-    pdn::Vrm vrmB(1);
-    auto b = makeBusyChip(vrmB, 10);
-    b->restoreCheckpoint(decoded);
-    expectChipsBitIdentical(*c, *b);
-}
-
-TEST(CheckpointCodec, RejectsCorruption)
-{
-    pdn::Vrm vrm(1);
-    auto c = makeBusyChip(vrm, 40);
-    const std::vector<uint8_t> bytes =
-        encodeChipCheckpoint(c->checkpoint());
-
-    std::vector<uint8_t> badMagic = bytes;
-    badMagic[0] ^= 0xFF;
-    EXPECT_THROW(decodeChipCheckpoint(badMagic), ConfigError);
-
-    std::vector<uint8_t> badVersion = bytes;
-    badVersion[4] += 1;
-    EXPECT_THROW(decodeChipCheckpoint(badVersion), ConfigError);
-
-    std::vector<uint8_t> truncated(bytes.begin(), bytes.end() - 9);
-    EXPECT_THROW(decodeChipCheckpoint(truncated), ConfigError);
-
-    std::vector<uint8_t> trailing = bytes;
-    trailing.push_back(0);
-    EXPECT_THROW(decodeChipCheckpoint(trailing), ConfigError);
-
-    EXPECT_THROW(decodeChipCheckpoint({}), ConfigError);
 }
 
 } // namespace

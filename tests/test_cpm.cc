@@ -140,6 +140,17 @@ TEST_F(CpmBankTest, FiveCpmsPerCore)
     EXPECT_EQ(bank.size(), 5u);
 }
 
+TEST_F(CpmBankTest, MeanVoltsPerBitAveragesInstances)
+{
+    CpmBank bank(&curve_, params_, 1, 42);
+    const Hertz f = 4.2_GHz;
+    Volts sum;
+    for (size_t i = 0; i < bank.size(); ++i)
+        sum += bank.voltsPerBit(i, f);
+    EXPECT_DOUBLE_EQ(bank.meanVoltsPerBit(f).value(),
+                     (sum / double(bank.size())).value());
+}
+
 TEST_F(CpmBankTest, MinReadIsLowestInstance)
 {
     CpmBank bank(&curve_, params_, 1, 42);

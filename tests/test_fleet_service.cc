@@ -98,12 +98,16 @@ TEST(FleetService, DigestUnaffectedByTelemetry)
 TEST(FleetService, SustainsSteadyLoad)
 {
     FleetService service(baseConfig());
+    EXPECT_EQ(service.latencyQuantile(0.99), Seconds{0.0}); // none yet
     service.start();
     service.runFor(Seconds{0.5});
     EXPECT_GT(service.stats().arrived, 0u);
     // Provisioned at ~25% of capacity: virtually everything completes.
     EXPECT_GE(service.sustainedFraction(), 0.9);
     EXPECT_EQ(service.stats().shed, 0u);
+    const Seconds p50 = service.latencyQuantile(0.5);
+    EXPECT_GT(p50, Seconds{0.0});
+    EXPECT_LE(p50, service.latencyQuantile(0.99));
 }
 
 TEST(FleetService, AdmissionControlShedsUnderOverload)

@@ -425,6 +425,7 @@ TEST(FleetStepperExact, InactiveChipsAreSkippedAndResyncOnReactivation)
         indices.push_back(stepper.addChip(c.get()));
     EXPECT_EQ(indices.front(), 0u);
     EXPECT_EQ(indices.back(), kChips - 1);
+    EXPECT_EQ(stepper.chipCount(), kChips);
 
     serial.stepSerial(100);
     stepper.run(100, kDt);

@@ -1,13 +1,12 @@
 /**
  * @file
- * Closed-loop adaptive-mapping tests and QoS service presets.
+ * Closed-loop adaptive-mapping tests.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "core/mapping_loop.h"
-#include "qos/service_presets.h"
 #include "workload/library.h"
 
 namespace agsim::core {
@@ -126,48 +125,6 @@ TEST(MappingLoop, Validation)
                                 corunnerClasses(), service, scheduler,
                                 config),
                  ConfigError);
-}
-
-TEST(ServicePresets, ScalesAreDistinctAndValid)
-{
-    const auto search = qos::webSearchPreset();
-    const auto kv = qos::keyValuePreset();
-    const auto analytics = qos::analyticsPreset();
-    // Each preset builds a working service.
-    EXPECT_NO_THROW(qos::WebSearchService{search});
-    EXPECT_NO_THROW(qos::WebSearchService{kv});
-    EXPECT_NO_THROW(qos::WebSearchService{analytics});
-    // Latency scales span ~four orders of magnitude.
-    EXPECT_LT(kv.qosTargetP90, search.qosTargetP90 / 100.0);
-    EXPECT_GT(analytics.qosTargetP90, search.qosTargetP90 * 10.0);
-}
-
-TEST(ServicePresets, EveryClassRespondsToFrequency)
-{
-    for (const auto &params : {qos::webSearchPreset(),
-                               qos::keyValuePreset(),
-                               qos::analyticsPreset()}) {
-        qos::WebSearchService service(params);
-        const Seconds horizon = params.windowLength * 40.0;
-        const auto slow = service.simulate(Hertz{4.3e9}, horizon);
-        service.reseed(params.seed);
-        const auto fast = service.simulate(Hertz{4.6e9}, horizon);
-        EXPECT_GT(qos::WebSearchService::meanP90(slow),
-                  qos::WebSearchService::meanP90(fast));
-    }
-}
-
-TEST(ServicePresets, UtilizationIsSane)
-{
-    // Every preset's offered load stays clear of saturation.
-    for (const auto &params : {qos::webSearchPreset(),
-                               qos::keyValuePreset(),
-                               qos::analyticsPreset()}) {
-        const double utilization =
-            params.arrivalRatePerSec * params.serviceMeanAtNominal.value();
-        EXPECT_GT(utilization, 0.05);
-        EXPECT_LT(utilization, 0.85);
-    }
 }
 
 } // namespace

@@ -261,6 +261,11 @@ TEST(JsonWriter, LineWriterPreservesInsertionOrder)
     EXPECT_EQ(line.str(),
               "{\"bench\": \"demo\", \"count\": 3, \"ok\": true, "
               "\"points\": [1, 2]}");
+
+    // The bench summary contract: the object as one stdout line.
+    ::testing::internal::CaptureStdout();
+    writeJsonLine(line);
+    EXPECT_EQ(::testing::internal::GetCapturedStdout(), line.str() + "\n");
 }
 
 TEST(JsonWriter, OverwritingKeyKeepsPosition)

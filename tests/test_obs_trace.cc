@@ -7,7 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <fstream>
+#include <sstream>
 
 #include "chip/chip.h"
 #include "common/error.h"
@@ -137,18 +138,34 @@ TEST(TraceExport, ChromeJsonShapeAndSortOrder)
     EXPECT_NE(json.find("label \\\"quoted\\\""), std::string::npos);
     EXPECT_NE(json.find("\"name\": \"firmware_tick\""),
               std::string::npos);
+
+    // writeChromeTrace puts the same document in a file.
+    TraceRecorder recorder;
+    for (const TraceEvent &event : events)
+        recorder.record(event);
+    const std::string path = ::testing::TempDir() + "trace_export.json";
+    ASSERT_TRUE(writeChromeTrace(recorder, path));
+    std::ifstream in(path);
+    std::stringstream written;
+    written << in.rdbuf();
+    EXPECT_EQ(written.str(), json);
 }
 
 TEST(TraceExport, JsonlOneRecordPerLine)
 {
-    std::vector<TraceEvent> events;
-    events.push_back(makeEvent(0.1, TraceKind::ModeTransition));
-    events.push_back(makeEvent(0.2, TraceKind::SafetyDemotion));
-    const std::string jsonl = traceJsonl(events);
-    EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 2);
-    EXPECT_NE(jsonl.find("\"kind\": \"mode_transition\""),
+    // A dump line is one event as one flat object, with no newline.
+    const std::string mode =
+        traceEventJson(makeEvent(0.1, TraceKind::ModeTransition));
+    const std::string demotion =
+        traceEventJson(makeEvent(0.2, TraceKind::SafetyDemotion));
+    for (const std::string &line : {mode, demotion}) {
+        EXPECT_EQ(line.find('\n'), std::string::npos);
+        EXPECT_EQ(line.front(), '{');
+        EXPECT_EQ(line.back(), '}');
+    }
+    EXPECT_NE(mode.find("\"kind\": \"mode_transition\""),
               std::string::npos);
-    EXPECT_NE(jsonl.find("\"kind\": \"safety_demotion\""),
+    EXPECT_NE(demotion.find("\"kind\": \"safety_demotion\""),
               std::string::npos);
 }
 

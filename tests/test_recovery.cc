@@ -259,6 +259,31 @@ TEST(RecoveryManager, DrainMigratesWorkAndRecoveryRebalances)
         obs::registry().counter("recovery.migrations_total").value(), 0);
 }
 
+TEST(RecoveryManager, MigrationsCountOnlyThreadsThatMove)
+{
+    obs::resetAll();
+    std::vector<fault::FaultPlan> plans(4);
+    plans[0].serverCrash(Seconds{0.3}, Seconds{0.5});
+    TestFleet fleet(4, RecoveryPolicy{}, plans);
+    obs::Counter &migrations =
+        obs::registry().counter("recovery.migrations_total");
+    const int64_t before = migrations.value();
+
+    // A fault-free drop in demand frees threads on every server but
+    // moves none from one server to another.
+    fleet.manager.setWorkload(64, workerLoad());
+    fleet.manager.setWorkload(32, workerLoad());
+    fleet.run(Seconds{0.2});
+    EXPECT_EQ(fleet.activeCores(0), 8u);
+    EXPECT_EQ(migrations.value(), before);
+
+    // A crash drains exactly the failed server's threads to survivors.
+    fleet.run(Seconds{0.25});
+    ASSERT_EQ(fleet.manager.state(0), ServerRecoveryState::Failed);
+    EXPECT_EQ(fleet.manager.placedThreads(), 32u);
+    EXPECT_EQ(migrations.value() - before, 8);
+}
+
 TEST(RecoveryManager, CorrelatedStormClimbsLadderThenDeescalates)
 {
     obs::resetAll();

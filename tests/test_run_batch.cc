@@ -1,8 +1,9 @@
 /**
  * @file
  * Parallel experiment runner tests: serial/parallel bit-identity,
- * submission-order results, and error propagation in both error modes
- * (runAll rethrows, runAllPartial reports).
+ * submission-order results, and error propagation (runAll runs every
+ * task, counts each failure, then rethrows the first in submission
+ * order).
  */
 
 #include <gtest/gtest.h>
@@ -78,13 +79,16 @@ TEST(RunBatch, ParallelIsBitIdenticalToSerial)
     specs.push_back(std::move(borrow));
 
     const auto serial = core::runScheduledBatch(specs, 1);
-    const auto parallel = core::runScheduledBatch(specs, 4);
-
     ASSERT_EQ(serial.size(), specs.size());
-    ASSERT_EQ(parallel.size(), specs.size());
-    for (size_t i = 0; i < specs.size(); ++i) {
-        expectMetricsIdentical(serial[i].metrics, parallel[i].metrics);
-        EXPECT_EQ(serial[i].plan.gatedCores, parallel[i].plan.gatedCores);
+    // 0 workers means one per hardware thread.
+    for (size_t jobs : {size_t(4), size_t(0)}) {
+        const auto parallel = core::runScheduledBatch(specs, jobs);
+        ASSERT_EQ(parallel.size(), specs.size()) << jobs << " jobs";
+        for (size_t i = 0; i < specs.size(); ++i) {
+            expectMetricsIdentical(serial[i].metrics, parallel[i].metrics);
+            EXPECT_EQ(serial[i].plan.gatedCores,
+                      parallel[i].plan.gatedCores);
+        }
     }
 }
 
@@ -122,27 +126,35 @@ TEST(RunBatch, ResultsComeBackInSubmissionOrder)
 TEST(RunBatch, WorkerExceptionsPropagateToWait)
 {
     // Two failures with different messages: runAll runs the whole
-    // sweep, then rethrows the first failure in submission order.
-    auto good = core::makeBatchTask(makeSpec(
-        "raytrace", 1, chip::GuardbandMode::StaticGuardband, Seconds{0.05}));
+    // sweep, counts both, then rethrows the first in submission order,
+    // inline and on the pool alike.
     auto serverScope = makeSpec(
         "raytrace", 1, chip::GuardbandMode::StaticGuardband, Seconds{0.05});
     serverScope.faultPlans.emplace_back(
         0, fault::FaultPlan().serverCrash(Seconds{0.01}, Seconds{0.02}));
+    obs::Counter &failures =
+        obs::registry().counter("batch.task_failures");
 
-    std::vector<BatchTask> tasks;
-    tasks.push_back(std::move(good));
-    tasks.push_back(BatchTask()); // no jobs: rejected on the worker
-    tasks.push_back(core::makeBatchTask(serverScope));
+    for (size_t workers : {size_t(1), size_t(2)}) {
+        std::vector<BatchTask> tasks;
+        tasks.push_back(core::makeBatchTask(makeSpec(
+            "raytrace", 1, chip::GuardbandMode::StaticGuardband,
+            Seconds{0.05})));
+        tasks.push_back(BatchTask()); // no jobs: rejected on the worker
+        tasks.push_back(core::makeBatchTask(serverScope));
 
-    try {
-        BatchRunner::runAll(std::move(tasks), 2);
-        ADD_FAILURE() << "runAll swallowed the task failures";
-    } catch (const ConfigError &e) {
-        const std::string message = e.what();
-        EXPECT_NE(message.find("job"), std::string::npos) << message;
-        EXPECT_EQ(message.find("server-scope"), std::string::npos)
-            << message;
+        const int64_t failuresBefore = failures.value();
+        try {
+            BatchRunner::runAll(std::move(tasks), workers);
+            ADD_FAILURE() << "runAll swallowed the task failures";
+        } catch (const ConfigError &e) {
+            const std::string message = e.what();
+            EXPECT_NE(message.find("job"), std::string::npos) << message;
+            EXPECT_EQ(message.find("server-scope"), std::string::npos)
+                << message;
+        }
+        EXPECT_EQ(failures.value() - failuresBefore, 2)
+            << workers << " workers";
     }
 }
 
@@ -150,91 +162,6 @@ TEST(RunBatch, EmptyBatchIsEmpty)
 {
     EXPECT_TRUE(core::runScheduledBatch({}, 4).empty());
     EXPECT_TRUE(BatchRunner::runAll({}, 4).empty());
-}
-
-TEST(RunBatch, ContinueOnErrorReturnsPartialResults)
-{
-    auto spec = makeSpec(
-        "raytrace", 1, chip::GuardbandMode::StaticGuardband, Seconds{0.05});
-
-    std::vector<BatchTask> tasks;
-    tasks.push_back(core::makeBatchTask(spec));
-    tasks[0].label = "good0";
-    tasks.push_back(BatchTask()); // no jobs: rejected on the worker
-    tasks[1].label = "badTask";
-    tasks.push_back(core::makeBatchTask(spec));
-    tasks[2].label = "good2";
-
-    obs::Counter &failures =
-        obs::registry().counter("batch.task_failures");
-    const int64_t failuresBefore = failures.value();
-    BatchOutcome outcome;
-    EXPECT_NO_THROW(outcome = BatchRunner::runAllPartial(std::move(tasks), 2));
-    EXPECT_EQ(failures.value() - failuresBefore, 1);
-
-    const std::vector<BatchResult> &results = outcome.results;
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_EQ(results[0].label, "good0");
-    EXPECT_EQ(results[1].label, ""); // failed slot: default-constructed
-    EXPECT_EQ(results[2].label, "good2");
-    EXPECT_GT(results[0].metrics.totalChipPower, Watts{0.0});
-    EXPECT_GT(results[2].metrics.totalChipPower, Watts{0.0});
-
-    ASSERT_EQ(outcome.errors.size(), 1u);
-    EXPECT_EQ(outcome.errors[0].taskIndex, 1u);
-    EXPECT_EQ(outcome.errors[0].label, "badTask");
-    EXPECT_NE(outcome.errors[0].message.find("job"), std::string::npos);
-}
-
-TEST(RunBatch, WaitOutcomeCapturesErrorsUnderBothPolicies)
-{
-    // The same failing batch under both error modes: runAll throws,
-    // runAllPartial reports the failure and keeps the good result.
-    auto spec = makeSpec(
-        "raytrace", 1, chip::GuardbandMode::StaticGuardband, Seconds{0.05});
-    const auto makeTasks = [&] {
-        std::vector<BatchTask> tasks;
-        tasks.push_back(core::makeBatchTask(spec));
-        tasks[0].label = "good";
-        tasks.push_back(BatchTask()); // fails: no jobs
-        return tasks;
-    };
-
-    EXPECT_THROW(BatchRunner::runAll(makeTasks(), 2), ConfigError);
-
-    BatchOutcome outcome;
-    EXPECT_NO_THROW(outcome = BatchRunner::runAllPartial(makeTasks(), 2));
-    EXPECT_FALSE(outcome.ok());
-    ASSERT_EQ(outcome.results.size(), 2u);
-    EXPECT_EQ(outcome.results[0].label, "good");
-    ASSERT_EQ(outcome.errors.size(), 1u);
-    EXPECT_EQ(outcome.errors[0].taskIndex, 1u);
-}
-
-TEST(RunBatch, RunAllPartialMatchesSerialAndParallel)
-{
-    auto spec = makeSpec(
-        "raytrace", 1, chip::GuardbandMode::StaticGuardband, Seconds{0.05});
-
-    for (size_t workers : {size_t(1), size_t(4)}) {
-        std::vector<BatchTask> tasks;
-        tasks.push_back(core::makeBatchTask(spec));
-        tasks[0].label = "ok0";
-        tasks.push_back(BatchTask()); // fails
-        tasks[1].label = "broken";
-        tasks.push_back(core::makeBatchTask(spec));
-        tasks[2].label = "ok2";
-
-        const BatchOutcome outcome =
-            BatchRunner::runAllPartial(std::move(tasks), workers);
-        ASSERT_EQ(outcome.results.size(), 3u) << workers << " workers";
-        EXPECT_EQ(outcome.results[0].label, "ok0");
-        EXPECT_EQ(outcome.results[2].label, "ok2");
-        ASSERT_EQ(outcome.errors.size(), 1u);
-        EXPECT_EQ(outcome.errors[0].taskIndex, 1u);
-        EXPECT_EQ(outcome.errors[0].label, "broken");
-        EXPECT_FALSE(outcome.errors[0].message.empty());
-    }
 }
 
 TEST(RunBatch, FaultPlansDemoteAndSurfaceInFinalHealth)
@@ -311,8 +238,8 @@ TEST(RunBatch, ServerScopePlanSurfacesAsPerTaskError)
 {
     // Server-level faults (crash/hang/VRM shutdown) belong to the
     // recovery subsystem, not to a chip-scope batch plan: the injector
-    // rejects them at attach time, and under runAllPartial that
-    // rejection must cost only the offending task.
+    // rejects them at attach time, and that rejection fails only the
+    // offending task: the good task beside it counts no failure.
     auto good = makeSpec(
         "raytrace", 1, chip::GuardbandMode::StaticGuardband, Seconds{0.05});
     auto bad = makeSpec(
@@ -324,33 +251,19 @@ TEST(RunBatch, ServerScopePlanSurfacesAsPerTaskError)
 
     std::vector<BatchTask> tasks;
     tasks.push_back(core::makeBatchTask(good));
-    tasks[0].label = "good";
     tasks.push_back(core::makeBatchTask(bad));
-    tasks[1].label = "serverScope";
-
-    const BatchOutcome outcome =
-        BatchRunner::runAllPartial(std::move(tasks), 2);
-    EXPECT_FALSE(outcome.ok());
-    ASSERT_EQ(outcome.results.size(), 2u);
-    EXPECT_EQ(outcome.results[0].label, "good");
-    EXPECT_GT(outcome.results[0].metrics.totalChipPower, Watts{0.0});
-    ASSERT_EQ(outcome.errors.size(), 1u);
-    EXPECT_EQ(outcome.errors[0].taskIndex, 1u);
-    EXPECT_EQ(outcome.errors[0].label, "serverScope");
-    EXPECT_NE(outcome.errors[0].message.find("server-scope"),
-              std::string::npos);
-}
-
-TEST(RunBatch, AllClearOutcomeIsOk)
-{
-    auto spec = makeSpec(
-        "raytrace", 1, chip::GuardbandMode::StaticGuardband, Seconds{0.05});
-    std::vector<BatchTask> tasks;
-    tasks.push_back(core::makeBatchTask(spec));
-    const BatchOutcome outcome =
-        BatchRunner::runAllPartial(std::move(tasks), 1);
-    EXPECT_TRUE(outcome.ok());
-    EXPECT_EQ(outcome.results.size(), 1u);
+    obs::Counter &failures =
+        obs::registry().counter("batch.task_failures");
+    const int64_t failuresBefore = failures.value();
+    try {
+        BatchRunner::runAll(std::move(tasks), 2);
+        ADD_FAILURE() << "runAll swallowed the server-scope rejection";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("server-scope"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(failures.value() - failuresBefore, 1);
 }
 
 } // namespace

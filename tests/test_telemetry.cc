@@ -105,6 +105,7 @@ TEST(Telemetry, MaxWindowsBounded)
     TelemetryParams params;
     params.maxWindows = 2;
     Telemetry telemetry(1, params);
+    EXPECT_EQ(telemetry.params().maxWindows, 2u);
     const auto obs = makeObs(1, 5, 5, 100.0);
     for (int i = 0; i < 32 * 5; ++i)
         telemetry.step(obs, Seconds{1e-3});

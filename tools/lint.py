@@ -52,14 +52,11 @@ Suppressions: a finding on line N (or N+1) is waived by a comment
 `lint: allow-file(<rule>): <reason>`. The reason is mandatory prose —
 see docs/STATIC_ANALYSIS.md.
 
-Engines: checks run on a comment/string-stripped view of each file.
-The stripper is pure Python by default; with the libclang bindings
-installed (`--engine libclang`, or auto-detected) the same view is
-produced from Clang's own token stream, which is immune to lexing
-corner cases. Findings are identical on a clean tree.
+Checks run on a comment/string-stripped view of each file, made by a
+pure-Python stripper.
 
 Usage: tools/lint.py [--root DIR] [--json FILE] [--checks a,b,...]
-                     [--files F...] [--engine auto|text|libclang]
+                     [--files F...]
 Exit status 1 when any finding is reported.
 """
 
@@ -119,7 +116,7 @@ BARE_UNIT_ARG = re.compile(
 
 # Label-value expressions considered bounded: a string literal, a
 # std::to_string of an index, or an enum-to-string helper (the
-# traceKindName / serverRecoveryStateName idiom ending in Name).
+# traceKindName idiom: a helper whose name ends in Name).
 LABEL_PAIR = re.compile(r'\{\s*"[^"]*"\s*,\s*((?:[^{}()]|\([^()]*\))*?)\}')
 BOUNDED_LABEL_VALUE = re.compile(
     r'^(?:"[^"]*"'
@@ -146,7 +143,7 @@ ALL_CHECKS = ("naked-double", "config-validate", "include-guard",
 
 
 # --------------------------------------------------------------------
-# Source views: stripped text + suppression map, via one of two engines.
+# Source views: stripped text + suppression map.
 # --------------------------------------------------------------------
 
 def strip_source_text(text):
@@ -243,63 +240,14 @@ def strip_source_text(text):
     return "".join(out)
 
 
-def libclang_index():
-    """The shared clang.cindex Index, or None when unavailable."""
-    try:
-        from clang import cindex
-    except ImportError:
-        return None
-    try:
-        return cindex.Index.create()
-    except Exception:  # missing libclang.so behind the bindings
-        return None
-
-
-def strip_source_libclang(path, text, index):
-    """Stripped view from Clang's own token stream.
-
-    Tokenizes (no semantic analysis needed) and keeps everything except
-    comments; literal tokens are blanked like the text engine does.
-    Falls back to the text engine on any parse hiccup.
-    """
-    from clang import cindex
-    try:
-        tu = index.parse(str(path), args=["-std=c++20"],
-                         options=cindex.TranslationUnit
-                         .PARSE_DETAILED_PROCESSING_RECORD)
-    except Exception:
-        return strip_source_text(text)
-    lines = text.splitlines(keepends=True)
-    grid = [list(" " * len(line)) for line in lines]
-    for token in tu.cursor.get_tokens():
-        if token.kind == cindex.TokenKind.COMMENT:
-            continue
-        spelling = token.spelling
-        if token.kind == cindex.TokenKind.LITERAL and (
-                spelling.startswith('"') or spelling.startswith("'")):
-            spelling = spelling[0] + spelling[-1]
-        row = token.location.line - 1
-        col = token.location.column - 1
-        for k, ch in enumerate(spelling):
-            if row < len(grid) and col + k < len(grid[row]):
-                grid[row][col + k] = ch
-    for row, line in enumerate(lines):
-        if line.endswith("\n"):
-            grid[row][-1:] = "\n"
-    return "".join("".join(row) for row in grid)
-
-
 class SourceView:
     """One file's original text, stripped text, and suppressions."""
 
-    def __init__(self, root, path, engine, index):
+    def __init__(self, root, path):
         self.path = path
         self.rel = str(path.relative_to(root))
         self.text = path.read_text()
-        if engine == "libclang" and index is not None:
-            self.stripped = strip_source_libclang(path, self.text, index)
-        else:
-            self.stripped = strip_source_text(self.text)
+        self.stripped = strip_source_text(self.text)
         self.lines = self.stripped.splitlines()
         self.allow = {}       # rule -> set of line numbers covered
         self.allow_file = set()
@@ -330,13 +278,8 @@ class SourceView:
 class Tree:
     """Lazily built SourceViews over one root, shared across checks."""
 
-    def __init__(self, root, engine, files=None):
+    def __init__(self, root, files=None):
         self.root = root
-        self.engine = engine
-        self.index = libclang_index() if engine != "text" else None
-        if engine == "libclang" and self.index is None:
-            raise SystemExit("lint: --engine libclang requested but the "
-                             "clang python bindings are unavailable")
         self.only = ({(root / f).resolve() for f in files}
                      if files else None)
         self.views = {}
@@ -346,8 +289,7 @@ class Tree:
 
     def view(self, path):
         if path not in self.views:
-            self.views[path] = SourceView(self.root, path, self.engine,
-                                          self.index)
+            self.views[path] = SourceView(self.root, path)
         return self.views[path]
 
     def glob(self, patterns):
@@ -566,9 +508,9 @@ CHECK_FUNCS = {
 }
 
 
-def run_checks(root, checks=ALL_CHECKS, engine="auto", files=None):
+def run_checks(root, checks=ALL_CHECKS, files=None):
     """Run the named checks over `root`; returns the findings list."""
-    tree = Tree(Path(root), engine, files)
+    tree = Tree(Path(root), files)
     findings = []
     for name in checks:
         CHECK_FUNCS[name](tree, findings)
@@ -588,11 +530,6 @@ def main():
     parser.add_argument("--files", nargs="*",
                         help="restrict to these repo-relative files "
                              "(changed-file CI mode)")
-    parser.add_argument("--engine", default="auto",
-                        choices=("auto", "text", "libclang"),
-                        help="source lexer: pure-python (text) or the "
-                             "clang token stream (libclang); auto "
-                             "prefers libclang when importable")
     args = parser.parse_args()
     root = args.root.resolve()
 
@@ -601,7 +538,7 @@ def main():
     if unknown:
         parser.error(f"unknown check(s): {', '.join(unknown)}")
 
-    findings = run_checks(root, checks, args.engine, args.files)
+    findings = run_checks(root, checks, args.files)
 
     for f in findings:
         print(f"{f['file']}:{f['line']}: [{f['rule']}] {f['message']}")

@@ -47,8 +47,7 @@ class FixtureTest(unittest.TestCase):
         want = expected_findings(root)
         self.assertTrue(want, f"fixture for {rule} has no EXPECT markers")
         got = {(f["file"], f["line"], f["rule"])
-               for f in lint.run_checks(root, checks=(rule,),
-                                        engine="text")}
+               for f in lint.run_checks(root, checks=(rule,))}
         self.assertEqual(got, want)
 
     def test_every_fixture_dir_is_covered(self):
@@ -72,7 +71,7 @@ class FixtureTest(unittest.TestCase):
 
 
 class StripperTest(unittest.TestCase):
-    """The text engine's comment/string stripper."""
+    """The comment/string stripper."""
 
     def test_line_structure_is_preserved(self):
         text = 'int a; // rand()\n/* time(\nNULL) */ int b;\n'
@@ -118,8 +117,7 @@ class SuppressionTest(unittest.TestCase):
             target = root / "src" / "sim"
             target.mkdir(parents=True)
             (target / "probe.cc").write_text(source)
-            return lint.run_checks(root, checks=("determinism",),
-                                   engine="text")
+            return lint.run_checks(root, checks=("determinism",))
 
     def test_unsuppressed_finding_fires(self):
         self.assertEqual(len(self.run_on("int x = rand();\n")), 1)
@@ -146,7 +144,7 @@ class SuppressionTest(unittest.TestCase):
 class CleanTreeTest(unittest.TestCase):
     def test_repo_is_lint_clean(self):
         repo = Path(__file__).parent.parent
-        findings = lint.run_checks(repo, engine="text")
+        findings = lint.run_checks(repo)
         self.assertEqual(
             findings, [],
             "tree has lint findings:\n" + "\n".join(
