@@ -165,42 +165,47 @@ HealthAwarePlacer::marginalSpeed(bool trusted, size_t k,
                      (1.0 - params_.headroomDecay * span);
 }
 
+bool
+HealthAwarePlacer::healthyNow(const chip::ChipHealthView &view) const
+{
+    const bool stormStruck =
+        params_.droopDepthCeiling > Volts{0.0} &&
+        view.latchedDroopDepth > params_.droopDepthCeiling;
+    return view.healthy() && !stormStruck;
+}
+
 HealthAwarePlacer::Decision
 HealthAwarePlacer::place(const std::vector<chip::ChipHealthView> &health,
                          size_t threads, size_t coresPerSocket,
                          Seconds now)
 {
-    const size_t sockets = health.size();
-    fatalIf(sockets == 0 || coresPerSocket == 0,
-            "health-aware placement needs a non-empty machine");
-    fatalIf(threads == 0, "health-aware placement needs threads");
-    fatalIf(threads > sockets * coresPerSocket,
-            "health-aware placement has more threads than cores");
+    updateTrust(health);
+    return assign(health, threads, coresPerSocket, now);
+}
 
-    const bool first = lastAssignment_.empty();
+bool
+HealthAwarePlacer::updateTrust(
+    const std::vector<chip::ChipHealthView> &health)
+{
+    const size_t sockets = health.size();
+    fatalIf(sockets == 0, "health-aware placement needs a non-empty machine");
+    const bool first = trusted_.empty();
     if (first) {
-        lastAssignment_.assign(sockets, 0);
         healthyStreak_.assign(sockets, 0);
         trusted_.assign(sockets, 0);
     }
-    fatalIf(lastAssignment_.size() != sockets,
+    fatalIf(trusted_.size() != sockets,
             "health-aware placement socket count changed");
 
-    // Trust update with re-arm hysteresis: trust drops the moment a
-    // socket looks unhealthy, and returns only after rearmConfidence
-    // consecutive healthy observations (immediately on the first
-    // quantum: there is no flapping to damp yet).
-    size_t healthySockets = 0;
-    int64_t demotedSocket = -1;
-    int64_t latchedSocket = -1;
-    int64_t awaitingSocket = -1;
+    // Re-arm hysteresis: trust drops the moment a socket looks
+    // unhealthy, and returns only after rearmConfidence consecutive
+    // healthy observations (immediately on the first quantum: there is
+    // no flapping to damp yet).
+    bool flipped = false;
     for (size_t s = 0; s < sockets; ++s) {
         const chip::ChipHealthView &view = health[s];
-        const bool stormStruck =
-            params_.droopDepthCeiling > Volts{0.0} &&
-            view.latchedDroopDepth > params_.droopDepthCeiling;
-        const bool healthyNow = view.healthy() && !stormStruck;
-        if (healthyNow) {
+        const char before = trusted_[s];
+        if (healthyNow(view)) {
             ++healthyStreak_[s];
             if (trusted_[s] == 0 &&
                 (first || healthyStreak_[s] >= params_.rearmConfidence))
@@ -213,13 +218,41 @@ HealthAwarePlacer::place(const std::vector<chip::ChipHealthView> &health,
         // fleet pinned to StaticGuardband is uniformly speed 1.0.
         if (!params_.enabled || !view.adaptiveCommanded())
             trusted_[s] = 0;
+        flipped = flipped || trusted_[s] != before;
+    }
+    return flipped;
+}
+
+HealthAwarePlacer::Decision
+HealthAwarePlacer::assign(const std::vector<chip::ChipHealthView> &health,
+                          size_t threads, size_t coresPerSocket,
+                          Seconds now)
+{
+    const size_t sockets = health.size();
+    fatalIf(coresPerSocket == 0,
+            "health-aware placement needs a non-empty machine");
+    fatalIf(threads == 0, "health-aware placement needs threads");
+    fatalIf(threads > sockets * coresPerSocket,
+            "health-aware placement has more threads than cores");
+    fatalIf(trusted_.size() != sockets,
+            "health-aware placement needs a trust update first");
+    const bool first = lastAssignment_.empty();
+    if (first)
+        lastAssignment_.assign(sockets, 0);
+
+    // Classify the distrust for the decision's reason string.
+    size_t healthySockets = 0;
+    int64_t demotedSocket = -1;
+    int64_t latchedSocket = -1;
+    int64_t awaitingSocket = -1;
+    for (size_t s = 0; s < sockets; ++s) {
+        const chip::ChipHealthView &view = health[s];
         if (trusted_[s] != 0) {
             ++healthySockets;
         } else if (params_.enabled && view.adaptiveCommanded()) {
-            // Classify the distrust for the decision's reason string.
             if (view.state == chip::SafetyState::Latched)
                 latchedSocket = int64_t(s);
-            else if (!healthyNow)
+            else if (!healthyNow(view))
                 demotedSocket = int64_t(s);
             else
                 awaitingSocket = int64_t(s);

@@ -163,7 +163,8 @@ class HealthAwarePlacer
     const HealthAwareParams &params() const { return params_; }
 
     /**
-     * Decide this quantum's per-socket thread counts.
+     * Decide this quantum's per-socket thread counts: updateTrust()
+     * then assign().
      *
      * @param health One view per socket, polled between quanta.
      * @param threads Threads to place (<= sockets x coresPerSocket).
@@ -173,6 +174,23 @@ class HealthAwarePlacer
     Decision place(const std::vector<chip::ChipHealthView> &health,
                    size_t threads, size_t coresPerSocket,
                    Seconds now = Seconds{0.0});
+
+    /**
+     * The trust half of place(): advance each socket's healthy streak
+     * and trust flag from this quantum's views. Returns whether any
+     * trust flag flipped. While none flips, assign() with an unchanged
+     * thread count repeats the previous decision, so a caller that
+     * still holds that decision may skip it.
+     */
+    bool updateTrust(const std::vector<chip::ChipHealthView> &health);
+
+    /**
+     * The assignment half of place(): apportion `threads` over the
+     * current trust flags, count migrations, bump the decision counter
+     * and emit the PlacementDecision event. Needs updateTrust() first.
+     */
+    Decision assign(const std::vector<chip::ChipHealthView> &health,
+                    size_t threads, size_t coresPerSocket, Seconds now);
 
     /** Threads moved across sockets since construction. */
     int64_t migrations() const { return migrations_; }
@@ -184,6 +202,9 @@ class HealthAwarePlacer
     void reset();
 
   private:
+    /** Healthy this quantum: watchdog fine and not storm-struck. */
+    bool healthyNow(const chip::ChipHealthView &view) const;
+
     /** Speed credited to the k-th thread (1-based) on a socket. */
     double marginalSpeed(bool trusted, size_t k,
                          size_t coresPerSocket) const;

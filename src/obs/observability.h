@@ -15,6 +15,11 @@
  *
  * bench/perf_steps measures and reports the enabled-vs-disabled delta.
  *
+ * One event path: emit() writes to the trace recorder and nowhere
+ * else. Readers pull from it — exporters take a snapshot at the end of
+ * a run, and the flight recorder scans it on the control thread with
+ * TraceRecorder::eventsSince().
+ *
  * Batch-task identity: BatchRunner workers (and the serial fallback)
  * wrap task execution in a TaskIdScope; events emitted anywhere down
  * the stack — including Chip internals — pick up the current task id
@@ -30,7 +35,6 @@
 #define AGSIM_OBS_OBSERVABILITY_H
 
 #include <cstdint>
-#include <functional>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -69,21 +73,12 @@ class TaskIdScope
 };
 
 /**
- * Record an event if tracing is enabled, stamping the current task id.
- * The tracing gate is checked here so call sites stay one-liners.
+ * Record an event into trace() if tracing is enabled, stamping the
+ * current task id. The tracing gate is checked here so call sites stay
+ * one-liners. The ring is the only sink: readers such as the flight
+ * recorder pull from it with TraceRecorder::eventsSince().
  */
 void emit(TraceEvent event);
-
-/**
- * Live event tap for the streaming telemetry plane: when installed
- * (and tracing is enabled), every emitted event is also handed to the
- * tap *before* entering the bounded ring — this is how the flight
- * recorder sees events the ring may later overwrite. The tap runs on
- * the emitting thread (possibly a batch/fleet worker) and must be
- * thread-safe; it must never feed back into simulation state. Install
- * an empty function to clear. One tap at a time (last install wins).
- */
-void setEventTap(std::function<void(const TraceEvent &)> tap);
 
 /**
  * Test/bench hygiene: clear the recorder, zero every metric, disable

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/error.h"
 #include "obs/json_writer.h"
 #include "obs/observability.h"
 
@@ -11,116 +10,87 @@ namespace agsim::obs::telemetry {
 
 namespace {
 
-/** Pre-window ring capacity (events). */
-constexpr size_t kRingCapacity = 4096;
+/** Events this far before the trigger are kept in the dump. */
+constexpr Seconds kPreWindow{0.1};
+/** Recording continues this far past the trigger. */
+constexpr Seconds kPostWindow{0.05};
+/** Hard cap on dumps per run. */
+constexpr size_t kMaxDumps = 16;
+
+/** SloAlert details that arm a capture: "fire:<rule>". */
+constexpr const char kFirePrefix[] = "fire:";
 
 } // namespace
 
 FlightRecorder::FlightRecorder(FlightRecorderConfig config)
-    : config_(std::move(config))
+    : config_(std::move(config)), origin_(trace().recorded()),
+      cursor_(origin_)
 {
-    fatalIf(config_.preWindow < Seconds{0.0} ||
-                config_.postWindow < Seconds{0.0},
-            "flight recorder windows must be non-negative");
 }
 
 void
-FlightRecorder::armLocked(const std::string &reason, Seconds when)
+FlightRecorder::arm(std::string reason, Seconds when)
 {
-    if (capturing_ || dumpsTaken_ >= config_.maxDumps) {
+    if (capturing_ || dumps_.size() >= kMaxDumps) {
         ++suppressed_;
         return;
     }
     capturing_ = true;
-    reason_ = reason;
+    reason_ = std::move(reason);
     triggerTime_ = when;
 }
 
-void
-FlightRecorder::pruneLocked(Seconds now)
+std::optional<FlightDump>
+FlightRecorder::tick(Seconds now)
 {
-    if (!capturing_) {
-        const Seconds horizon = now - config_.preWindow;
-        while (!ring_.empty() && ring_.front().simTime < horizon)
-            ring_.pop_front();
+    const std::vector<TraceEvent> fresh = trace().eventsSince(cursor_);
+    // A full snapshot may have skipped events the ring already
+    // overwrote; resume at the ring's end then.
+    cursor_ = fresh.size() < trace().capacity() ? cursor_ + fresh.size()
+                                                : trace().recorded();
+    for (const TraceEvent &event : fresh) {
+        if (event.kind == TraceKind::ServerFailure ||
+            event.kind == TraceKind::DegradationStep) {
+            std::string reason = traceKindName(event.kind);
+            if (!event.detail.empty())
+                reason += ":" + event.detail;
+            arm(std::move(reason), event.simTime);
+        } else if (event.kind == TraceKind::SloAlert &&
+                   event.detail.rfind(kFirePrefix, 0) == 0) {
+            arm("slo:" + event.detail.substr(sizeof(kFirePrefix) - 1),
+                event.simTime);
+        }
     }
-    while (ring_.size() > kRingCapacity)
-        ring_.pop_front();
+    if (!capturing_ || now < triggerTime_ + kPostWindow)
+        return std::nullopt;
+    return finish(now);
 }
 
-void
-FlightRecorder::observe(const TraceEvent &event)
+FlightDump
+FlightRecorder::finish(Seconds now)
 {
-    ag::MutexLock lock(mutex_);
-    ring_.push_back(event);
-    pruneLocked(event.simTime);
-    if (event.kind != TraceKind::ServerFailure &&
-        event.kind != TraceKind::DegradationStep)
-        return;
-    std::string reason = traceKindName(event.kind);
-    if (!event.detail.empty())
-        reason += ":" + event.detail;
-    armLocked(reason, event.simTime);
-}
-
-void
-FlightRecorder::trigger(const std::string &reason, Seconds when)
-{
-    ag::MutexLock lock(mutex_);
-    armLocked(reason, when);
-}
-
-bool
-FlightRecorder::finalize(Seconds now, FlightDump &dump,
-                         std::vector<TraceEvent> &events)
-{
-    ag::MutexLock lock(mutex_);
-    if (!capturing_ || now < triggerTime_ + config_.postWindow)
-        return false;
-
+    FlightDump dump;
     dump.reason = reason_;
     dump.triggerTime = triggerTime_;
-    dump.windowStart = triggerTime_ - config_.preWindow;
-    dump.windowEnd = triggerTime_ + config_.postWindow;
-    for (const TraceEvent &event : ring_)
+    dump.windowStart = triggerTime_ - kPreWindow;
+    dump.windowEnd = triggerTime_ + kPostWindow;
+    std::vector<TraceEvent> events;
+    for (TraceEvent &event : trace().eventsSince(origin_))
         if (event.simTime >= dump.windowStart &&
             event.simTime <= dump.windowEnd)
-            events.push_back(event);
+            events.push_back(std::move(event));
+    // Worker shards drift, so record order is not time order.
     std::stable_sort(events.begin(), events.end(),
                      [](const TraceEvent &x, const TraceEvent &y) {
                          return x.simTime < y.simTime;
                      });
     dump.events = events.size();
 
-    std::string seq = std::to_string(sequence_++);
+    std::string seq = std::to_string(dumps_.size());
     while (seq.size() < 3)
         seq = "0" + seq;
     dump.path = config_.dir + "/flight_" + seq + ".jsonl";
 
-    capturing_ = false;
-    reason_.clear();
-    // Commit the capture against the maxDumps budget here, before the
-    // lock drops for the file write: armLocked checks dumpsTaken_, so a
-    // trigger landing while the dump is being written cannot overrun
-    // the cap (dumps_ itself is only pushed after the write).
-    ++dumpsTaken_;
-    pruneLocked(now);
-    return true;
-}
-
-void
-FlightRecorder::tick(Seconds now)
-{
-    FlightDump dump;
-    std::vector<TraceEvent> events;
-    if (!finalize(now, dump, events)) {
-        ag::MutexLock lock(mutex_);
-        pruneLocked(now);
-        return;
-    }
-
-    // Write (and emit) outside the lock: the FlightDump event flows
-    // back through the tap into observe() on this same thread.
     JsonLineWriter header;
     header.set("kind", "flight_dump_header");
     header.set("reason", dump.reason);
@@ -134,10 +104,9 @@ FlightRecorder::tick(Seconds now)
     if (!writeTextFile(dump.path, content))
         dump.path.clear();
 
-    {
-        ag::MutexLock lock(mutex_);
-        dumps_.push_back(dump);
-    }
+    capturing_ = false;
+    reason_.clear();
+    dumps_.push_back(dump);
 
     TraceEvent event;
     event.simTime = now;
@@ -146,27 +115,7 @@ FlightRecorder::tick(Seconds now)
     event.detail = dump.path.empty() ? "write-failed:" + dump.reason
                                      : dump.path;
     emit(std::move(event));
-}
-
-bool
-FlightRecorder::capturing() const
-{
-    ag::MutexLock lock(mutex_);
-    return capturing_;
-}
-
-std::vector<FlightDump>
-FlightRecorder::dumps() const
-{
-    ag::MutexLock lock(mutex_);
-    return dumps_;
-}
-
-uint64_t
-FlightRecorder::suppressedTriggers() const
-{
-    ag::MutexLock lock(mutex_);
-    return suppressed_;
+    return dump;
 }
 
 } // namespace agsim::obs::telemetry

@@ -2,51 +2,44 @@
  * @file
  * Flight recorder: pre/post trace-event captures around failure edges.
  *
- * The bounded trace ring answers "what happened recently", but by the
- * time a post-mortem starts, a busy fleet has usually overwritten the
- * events that mattered. The flight recorder keeps its own short
- * high-resolution pre-window of every emitted event (fed by the obs
- * event tap, so it sees events before the ring can drop them) and, on
- * a trigger edge — server failure, degradation step, SLO alert fire —
- * freezes that pre-window, keeps recording for a post-window, then
- * writes the combined capture as a self-contained JSONL dump: one
- * metadata header line followed by one traceEventJson line per event.
+ * The recorder is a control-thread reader of the process trace ring
+ * (obs::trace()); it keeps no events of its own. Each tick() scans the
+ * events recorded since the previous tick and arms a capture on a
+ * trigger edge — a server failure, a degradation-ladder step or an SLO
+ * alert firing. Once the post-window has passed, the capture's events
+ * are read back from the ring, filtered to [trigger - pre-window,
+ * trigger + post-window] (100 ms before, 50 ms after), time-sorted
+ * and written as a self-contained JSONL dump: one metadata header line
+ * followed by one traceEventJson line per event. Only events recorded
+ * after the recorder was built reach its dumps.
  *
  * One capture is in flight at a time; triggers during a capture are
  * absorbed by it (the storm that follows a failure belongs in the same
- * dump). Dump count is bounded so a flapping fleet cannot fill a disk.
+ * dump). At most 16 dumps are written, so a flapping fleet cannot fill
+ * a disk.
  *
- * Thread-safety: observe() may be called from any emitting thread;
- * trigger()/tick()/accessors are expected from the control thread.
- * Dumps are written (and the FlightDump event emitted) outside the
- * internal lock, so the event tap can safely feed observe() back.
+ * Threading: every member runs on the control thread, between fleet
+ * sweeps. Workers only write the trace ring, which has its own lock.
  */
 
 #ifndef AGSIM_OBS_TELEMETRY_FLIGHT_RECORDER_H
 #define AGSIM_OBS_TELEMETRY_FLIGHT_RECORDER_H
 
 #include <cstdint>
-#include <deque>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "common/units.h"
 #include "obs/trace.h"
 
 namespace agsim::obs::telemetry {
 
-/** Flight-recorder tuning. */
+/** Flight-recorder deployment settings. */
 struct FlightRecorderConfig
 {
-    /** Events this far before the trigger are kept in the dump. */
-    Seconds preWindow = Seconds{0.1};
-    /** Recording continues this far past the trigger. */
-    Seconds postWindow = Seconds{0.05};
     /** Directory dumps are written into (must exist). */
     std::string dir = ".";
-    /** Hard cap on dumps per run. */
-    size_t maxDumps = 16;
 };
 
 /** One finished capture. */
@@ -70,64 +63,40 @@ class FlightRecorder
     explicit FlightRecorder(FlightRecorderConfig config);
 
     /**
-     * Feed one event (hook this to obs::setEventTap). Auto-triggers on
-     * ServerFailure and DegradationStep; every other kind, FlightDump
-     * included, is recorded but never triggers.
-     */
-    void observe(const TraceEvent &event);
-
-    /** Manually pull the trigger (e.g. from an SLO alert callback). */
-    void trigger(const std::string &reason, Seconds when);
-
-    /**
-     * Advance recorder time; closes the open capture once `now` passes
-     * trigger + postWindow and writes the dump file. Call on the
+     * Scan the trace events recorded since the last tick, in record
+     * order, arming on ServerFailure, DegradationStep and SloAlert
+     * "fire:" events; then, once `now` passes trigger + post-window,
+     * write the open capture's dump and return it. Call on the
      * telemetry sample cadence.
      */
-    void tick(Seconds now);
+    std::optional<FlightDump> tick(Seconds now);
 
     /** Whether a capture is currently open. */
-    bool capturing() const;
+    bool capturing() const { return capturing_; }
 
     /** Finished captures, oldest first. */
-    std::vector<FlightDump> dumps() const;
+    const std::vector<FlightDump> &dumps() const { return dumps_; }
 
     /** Triggers ignored because a capture was open or the cap was hit. */
-    uint64_t suppressedTriggers() const;
-
-    const FlightRecorderConfig &config() const { return config_; }
+    uint64_t suppressedTriggers() const { return suppressed_; }
 
   private:
     /** Start a capture if none is open and the dump budget remains. */
-    void armLocked(const std::string &reason, Seconds when)
-        AG_REQUIRES(mutex_);
+    void arm(std::string reason, Seconds when);
 
-    /** Drop ring events older than the pre-window. */
-    void pruneLocked(Seconds now) AG_REQUIRES(mutex_);
-
-    /** Close the open capture; returns the dump to write. */
-    bool finalize(Seconds now, FlightDump &dump,
-                  std::vector<TraceEvent> &events) AG_EXCLUDES(mutex_);
+    /** Write the open capture's dump file and close the capture. */
+    FlightDump finish(Seconds now);
 
     const FlightRecorderConfig config_;
-
-    mutable ag::Mutex mutex_;
-    std::deque<TraceEvent> ring_ AG_GUARDED_BY(mutex_);
-    bool capturing_ AG_GUARDED_BY(mutex_) = false;
-    std::string reason_ AG_GUARDED_BY(mutex_);
-    Seconds triggerTime_ AG_GUARDED_BY(mutex_) = Seconds{0.0};
-    std::vector<FlightDump> dumps_ AG_GUARDED_BY(mutex_);
-    /**
-     * Captures finalized so far, committed inside finalize() while the
-     * dump file is still being written. The maxDumps budget is checked
-     * against this, not dumps_.size(): the push into dumps_ happens
-     * only after the unlocked file write, and a trigger arriving in
-     * that window would otherwise see an undercount and overrun the
-     * cap.
-     */
-    size_t dumpsTaken_ AG_GUARDED_BY(mutex_) = 0;
-    uint64_t suppressed_ AG_GUARDED_BY(mutex_) = 0;
-    uint64_t sequence_ AG_GUARDED_BY(mutex_) = 0;
+    /** trace().recorded() at construction: the first event we own. */
+    const uint64_t origin_;
+    /** Sequence number of the next trace event to scan. */
+    uint64_t cursor_;
+    bool capturing_ = false;
+    std::string reason_;
+    Seconds triggerTime_ = Seconds{0.0};
+    std::vector<FlightDump> dumps_;
+    uint64_t suppressed_ = 0;
 };
 
 } // namespace agsim::obs::telemetry

@@ -34,12 +34,6 @@ SloEngine::addRule(SloRule rule)
     alerts_.push_back(std::move(state));
 }
 
-void
-SloEngine::onAlert(AlertCallback callback)
-{
-    callback_ = std::move(callback);
-}
-
 double
 SloEngine::badFraction(const MergedSeries &series, const SloRule &rule,
                        Seconds now, Seconds window, bool &hasData)
@@ -72,10 +66,11 @@ SloEngine::badFraction(const MergedSeries &series, const SloRule &rule,
     return double(bad) / double(total);
 }
 
-void
+std::vector<SloEdge>
 SloEngine::evaluate(Seconds now, const SeriesLookup &lookup)
 {
     fatalIf(!lookup, "SLO evaluation needs a series lookup");
+    std::vector<SloEdge> edges;
     for (SloAlertState &state : alerts_) {
         const SloRule &rule = state.rule;
         const MergedSeries series = lookup(rule.series);
@@ -99,29 +94,22 @@ SloEngine::evaluate(Seconds now, const SeriesLookup &lookup)
             state.active = true;
             state.firedAt = now;
             ++state.fireCount;
-            TraceEvent event;
-            event.simTime = now;
-            event.kind = TraceKind::SloAlert;
-            event.a = state.shortBurn;
-            event.b = state.longBurn;
-            event.detail = "fire:" + rule.name;
-            emit(std::move(event));
-            if (callback_)
-                callback_(state, true);
         } else if (state.active && shouldResolve) {
             state.active = false;
             state.resolvedAt = now;
-            TraceEvent event;
-            event.simTime = now;
-            event.kind = TraceKind::SloAlert;
-            event.a = state.shortBurn;
-            event.b = state.longBurn;
-            event.detail = "resolve:" + rule.name;
-            emit(std::move(event));
-            if (callback_)
-                callback_(state, false);
+        } else {
+            continue;
         }
+        TraceEvent event;
+        event.simTime = now;
+        event.kind = TraceKind::SloAlert;
+        event.a = state.shortBurn;
+        event.b = state.longBurn;
+        event.detail = (state.active ? "fire:" : "resolve:") + rule.name;
+        emit(std::move(event));
+        edges.push_back(SloEdge{state, state.active});
     }
+    return edges;
 }
 
 uint64_t

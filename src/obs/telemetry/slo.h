@@ -14,8 +14,8 @@
  * rate — the long window proves the problem is sustained, the short
  * window proves it is still happening — and resolves once both drop
  * below 1x (budget-neutral). Fire/resolve edges are emitted as
- * TraceKind::SloAlert events into the shared trace stream and handed
- * to an optional callback (the flight recorder hooks this).
+ * TraceKind::SloAlert events into the shared trace stream (the flight
+ * recorder arms on the fire events there) and returned to the caller.
  *
  * Evaluation is pull-only over merged time-series buckets; the engine
  * holds no references into simulation state and never feeds back.
@@ -77,6 +77,15 @@ struct SloAlertState
     uint64_t fireCount = 0;
 };
 
+/** One fire or resolve transition found by SloEngine::evaluate(). */
+struct SloEdge
+{
+    /** The rule's state just after the edge. */
+    SloAlertState state;
+    /** true for a fire edge, false for a resolve edge. */
+    bool fired = false;
+};
+
 /**
  * Evaluates every registered rule against caller-supplied merged
  * series. Single-threaded by design: call evaluate() between fleet
@@ -85,10 +94,6 @@ struct SloAlertState
 class SloEngine
 {
   public:
-    /** (state, firing-edge?) on every fire/resolve transition. */
-    using AlertCallback =
-        std::function<void(const SloAlertState &, bool fired)>;
-
     /** Series lookup the caller provides at evaluation time. */
     using SeriesLookup =
         std::function<MergedSeries(const std::string &)>;
@@ -96,15 +101,13 @@ class SloEngine
     /** Register a rule (validated; duplicate names rejected). */
     void addRule(SloRule rule);
 
-    /** Invoked on each fire/resolve edge, after the trace emit. */
-    void onAlert(AlertCallback callback);
-
     /**
      * Evaluate every rule at sim time `now`, emitting SloAlert trace
-     * events on edges. Series with no overlapping data leave the rule
-     * in its current state (no flapping on startup).
+     * events on edges; returns those edges in rule order. Series with
+     * no overlapping data leave the rule in its current state (no
+     * flapping on startup).
      */
-    void evaluate(Seconds now, const SeriesLookup &lookup);
+    std::vector<SloEdge> evaluate(Seconds now, const SeriesLookup &lookup);
 
     const std::vector<SloAlertState> &alerts() const { return alerts_; }
 
@@ -121,7 +124,6 @@ class SloEngine
                               Seconds window, bool &hasData);
 
     std::vector<SloAlertState> alerts_;
-    AlertCallback callback_;
 };
 
 } // namespace agsim::obs::telemetry

@@ -27,41 +27,14 @@ TelemetryHub::TelemetryHub(TelemetryConfig config)
         return;
 
     if (config_.enableRecorder) {
-        recorder_ = std::make_unique<FlightRecorder>(config_.recorder);
-        // The recorder sees events through the tap, which only runs
-        // while tracing is on; enabling telemetry arms tracing.
+        // The recorder reads the trace ring, which only fills while
+        // tracing is on; enabling the recorder arms tracing.
         setTracingEnabled(true);
-        FlightRecorder *recorder = recorder_.get();
-        setEventTap([recorder](const TraceEvent &event) {
-            recorder->observe(event);
-        });
-        tapInstalled_ = true;
+        recorder_ = std::make_unique<FlightRecorder>(config_.recorder);
     }
 
     if (!config_.streamPath.empty())
         stream_.open(config_.streamPath);
-
-    slo_.onAlert([this](const SloAlertState &state, bool fired) {
-        if (stream_.isOpen()) {
-            JsonLineWriter line;
-            line.set("kind", "alert");
-            line.set("t", fired ? state.firedAt.value()
-                                : state.resolvedAt.value());
-            line.set("rule", state.rule.name);
-            line.set("edge", fired ? "fire" : "resolve");
-            line.set("short_burn", state.shortBurn);
-            line.set("long_burn", state.longBurn);
-            stream_.writeLine(line);
-        }
-        if (fired && recorder_)
-            recorder_->trigger("slo:" + state.rule.name, state.firedAt);
-    });
-}
-
-TelemetryHub::~TelemetryHub()
-{
-    if (tapInstalled_)
-        setEventTap({});
 }
 
 SeriesId
@@ -156,24 +129,35 @@ TelemetryHub::tick(Seconds now)
         return;
     nextTickAt_ = now + config_.streamInterval;
 
-    slo_.evaluate(now, [this](const std::string &name) {
-        return merged(name);
-    });
+    const std::vector<SloEdge> edges =
+        slo_.evaluate(now, [this](const std::string &name) {
+            return merged(name);
+        });
+    if (stream_.isOpen()) {
+        for (const SloEdge &edge : edges) {
+            const SloAlertState &state = edge.state;
+            JsonLineWriter line;
+            line.set("kind", "alert");
+            line.set("t", edge.fired ? state.firedAt.value()
+                                     : state.resolvedAt.value());
+            line.set("rule", state.rule.name);
+            line.set("edge", edge.fired ? "fire" : "resolve");
+            line.set("short_burn", state.shortBurn);
+            line.set("long_burn", state.longBurn);
+            stream_.writeLine(line);
+        }
+    }
 
     if (recorder_) {
-        recorder_->tick(now);
-        if (stream_.isOpen()) {
-            const std::vector<FlightDump> dumps = recorder_->dumps();
-            for (; streamedDumps_ < dumps.size(); ++streamedDumps_) {
-                const FlightDump &dump = dumps[streamedDumps_];
-                JsonLineWriter line;
-                line.set("kind", "dump");
-                line.set("t", now.value());
-                line.set("path", dump.path);
-                line.set("reason", dump.reason);
-                line.set("events", uint64_t(dump.events));
-                stream_.writeLine(line);
-            }
+        const std::optional<FlightDump> dump = recorder_->tick(now);
+        if (dump && stream_.isOpen()) {
+            JsonLineWriter line;
+            line.set("kind", "dump");
+            line.set("t", now.value());
+            line.set("path", dump->path);
+            line.set("reason", dump->reason);
+            line.set("events", uint64_t(dump->events));
+            stream_.writeLine(line);
         }
     }
 

@@ -10,9 +10,10 @@
  *  - per-shard mergeable QuantileSketches for the same series, giving
  *    cheap p50/p99 over the full run without retaining samples;
  *  - an SloEngine evaluated on the sample cadence against the merged
- *    series, with fire edges pulling the flight-recorder trigger;
- *  - a FlightRecorder fed by the global obs event tap (installed by
- *    the hub when enabled);
+ *    series; its fire/resolve edges become stream alert lines;
+ *  - an optional FlightRecorder that reads the process trace ring on
+ *    the same cadence (the SLO fire events it arms on travel through
+ *    that ring too); enabling it turns tracing on;
  *  - a StreamExporter appending live sample/alert/dump JSONL lines
  *    for `tools/fleetdash.py`.
  *
@@ -58,7 +59,7 @@ struct TelemetryConfig
     std::string streamPath;
     /** Stream/SLO/recorder tick cadence (defaults to sampleInterval). */
     Seconds streamInterval = Seconds{0.0};
-    /** Attach a flight recorder (installs the obs event tap). */
+    /** Attach a flight recorder (turns tracing on). */
     bool enableRecorder = false;
     FlightRecorderConfig recorder;
 };
@@ -70,7 +71,6 @@ class TelemetryHub
 {
   public:
     explicit TelemetryHub(TelemetryConfig config);
-    ~TelemetryHub();
 
     TelemetryHub(const TelemetryHub &) = delete;
     TelemetryHub &operator=(const TelemetryHub &) = delete;
@@ -146,8 +146,6 @@ class TelemetryHub
     std::unique_ptr<FlightRecorder> recorder_;
     StreamExporter stream_;
     Seconds nextTickAt_ = Seconds{0.0};
-    size_t streamedDumps_ = 0;
-    bool tapInstalled_ = false;
 };
 
 } // namespace agsim::obs::telemetry

@@ -42,23 +42,25 @@ void
 TraceRecorder::record(TraceEvent event)
 {
     ag::MutexLock lock(mutex_);
-    ring_[next_] = std::move(event);
-    next_ = (next_ + 1) % ring_.size();
+    // Sequence number n lives in slot n % capacity.
+    ring_[size_t(recorded_ % ring_.size())] = std::move(event);
     ++recorded_;
 }
 
 std::vector<TraceEvent>
-TraceRecorder::events() const
+TraceRecorder::eventsSince(uint64_t from) const
 {
     ag::MutexLock lock(mutex_);
+    // Sequence numbers [first, recorded_) are still in the ring.
+    const uint64_t first =
+        recorded_ > ring_.size() ? recorded_ - ring_.size() : 0;
+    const uint64_t begin = std::max(from, first);
     std::vector<TraceEvent> out;
-    const size_t count = recorded_ < ring_.size() ? size_t(recorded_)
-                                                  : ring_.size();
-    out.reserve(count);
-    // Oldest retained event sits at next_ once the ring has wrapped.
-    const size_t start = recorded_ < ring_.size() ? 0 : next_;
-    for (size_t i = 0; i < count; ++i)
-        out.push_back(ring_[(start + i) % ring_.size()]);
+    if (begin >= recorded_)
+        return out;
+    out.reserve(size_t(recorded_ - begin));
+    for (uint64_t seq = begin; seq < recorded_; ++seq)
+        out.push_back(ring_[size_t(seq % ring_.size())]);
     return out;
 }
 
@@ -82,7 +84,6 @@ TraceRecorder::clear()
     ag::MutexLock lock(mutex_);
     for (auto &slot : ring_)
         slot = TraceEvent();
-    next_ = 0;
     recorded_ = 0;
 }
 

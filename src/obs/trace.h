@@ -117,7 +117,15 @@ class TraceRecorder
     void record(TraceEvent event);
 
     /** Chronological snapshot (oldest retained event first). */
-    std::vector<TraceEvent> events() const;
+    std::vector<TraceEvent> events() const { return eventsSince(0); }
+
+    /**
+     * Retained events whose sequence number is >= `from`, oldest
+     * first. The n-th event ever recorded has sequence number n - 1,
+     * so `eventsSince(recorded())` is empty and a reader that keeps
+     * its own cursor sees each retained event once.
+     */
+    std::vector<TraceEvent> eventsSince(uint64_t from) const;
 
     /** Events ever recorded (including dropped). */
     uint64_t recorded() const;
@@ -135,7 +143,6 @@ class TraceRecorder
     size_t capacity_ = 0;
     mutable ag::Mutex mutex_;
     std::vector<TraceEvent> ring_ AG_GUARDED_BY(mutex_);
-    size_t next_ AG_GUARDED_BY(mutex_) = 0;
     uint64_t recorded_ AG_GUARDED_BY(mutex_) = 0;
 };
 

@@ -517,18 +517,25 @@ RecoveryManager::applyPlacement()
             continue;
         }
         system::Server &server = *record.server;
+        const bool known = !record.placedPerSocket.empty();
         std::vector<size_t> perSocket(server.socketCount(), 0);
         if (counts[i] > 0) {
             std::vector<chip::ChipHealthView> health;
             health.reserve(server.socketCount());
             for (size_t s = 0; s < server.socketCount(); ++s)
                 health.push_back(server.chip(s).healthView());
-            const core::HealthAwarePlacer::Decision decision =
-                record.placer.place(health, size_t(counts[i]),
-                                    server.chip(0).coreCount(), now_);
-            perSocket = decision.threadsPerSocket;
+            // The trust update runs on every re-place so the re-arm
+            // hysteresis sees each one. With the same count and trust,
+            // the assignment would repeat what is already placed.
+            const bool trustFlipped = record.placer.updateTrust(health);
+            if (known && !trustFlipped &&
+                counts[i] == record.assignedThreads)
+                continue;
+            perSocket = record.placer
+                            .assign(health, size_t(counts[i]),
+                                    server.chip(0).coreCount(), now_)
+                            .threadsPerSocket;
         }
-        const bool known = !record.placedPerSocket.empty();
         for (size_t s = 0; s < server.socketCount(); ++s) {
             const size_t threads = perSocket[s];
             if (known && threads == record.placedPerSocket[s])

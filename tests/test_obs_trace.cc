@@ -65,6 +65,28 @@ TEST(TraceRecorder, RingDropsOldestWhenFull)
     EXPECT_EQ(recorder.dropped(), 6u);
 }
 
+TEST(TraceRecorder, EventsSinceStartsAtASequenceNumber)
+{
+    TraceRecorder recorder(4);
+    for (int i = 0; i < 3; ++i)
+        recorder.record(makeEvent(double(i), TraceKind::Custom));
+    auto events = recorder.eventsSince(1);
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_DOUBLE_EQ(events.front().simTime, Seconds{1.0});
+    EXPECT_TRUE(recorder.eventsSince(3).empty());
+
+    // After a wrap, an overwritten start clamps to the oldest kept.
+    for (int i = 3; i < 7; ++i)
+        recorder.record(makeEvent(double(i), TraceKind::Custom));
+    events = recorder.eventsSince(1);
+    ASSERT_EQ(events.size(), 4u);
+    EXPECT_DOUBLE_EQ(events.front().simTime, Seconds{3.0});
+    events = recorder.eventsSince(5);
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_DOUBLE_EQ(events.front().simTime, Seconds{5.0});
+    EXPECT_DOUBLE_EQ(events.back().simTime, Seconds{6.0});
+}
+
 TEST(TraceRecorder, ClearResetsEverything)
 {
     TraceRecorder recorder(4);

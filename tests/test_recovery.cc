@@ -284,6 +284,38 @@ TEST(RecoveryManager, MigrationsCountOnlyThreadsThatMove)
     EXPECT_EQ(migrations.value() - before, 8);
 }
 
+TEST(RecoveryManager, ReplaceRunsThePlacerOnlyWhereTheCountChanged)
+{
+    obs::resetAll();
+    TestFleet fleet(4, RecoveryPolicy{});
+    const obs::Counter &decisions =
+        obs::registry().counter("placement.health.decisions");
+    auto placed = [&fleet](size_t server) {
+        size_t threads = 0;
+        for (size_t count : fleet.manager.placedPerSocket(server))
+            threads += count;
+        return threads;
+    };
+
+    // The first placement decides every server.
+    fleet.manager.setWorkload(32, workerLoad());
+    EXPECT_EQ(decisions.value(), 4);
+
+    // Same demand, same health: nothing to decide.
+    fleet.manager.setWorkload(32, workerLoad());
+    EXPECT_EQ(decisions.value(), 4);
+
+    // One more thread changes one server's count; only it decides.
+    fleet.manager.setWorkload(33, workerLoad());
+    EXPECT_EQ(decisions.value(), 5);
+    size_t grown = 0;
+    for (size_t i = 0; i < 4; ++i) {
+        EXPECT_GE(placed(i), 8u);
+        grown += placed(i) - 8;
+    }
+    EXPECT_EQ(grown, 1u);
+}
+
 TEST(RecoveryManager, CorrelatedStormClimbsLadderThenDeescalates)
 {
     obs::resetAll();

@@ -1,7 +1,7 @@
 /**
  * @file
  * SloEngine tests: multi-window burn-rate fire/resolve edges, the
- * no-data hold, rule validation, and the alert callback contract.
+ * no-data hold, rule validation, and the edges evaluate() returns.
  */
 
 #include <gtest/gtest.h>
@@ -150,26 +150,31 @@ TEST(SloEngine, NoDataHoldsState)
     EXPECT_EQ(engine.activeCount(), 1u);
 }
 
-TEST(SloEngine, CallbackSeesBothEdges)
+TEST(SloEngine, EvaluateReturnsBothEdges)
 {
     SloEngine engine;
     engine.addRule(marginRule());
-    std::vector<std::pair<std::string, bool>> edges;
-    engine.onAlert([&edges](const SloAlertState &state, bool fired) {
-        edges.emplace_back(state.rule.name, fired);
-    });
     TimeSeriesBuffer buffer(Seconds{1.0}, 64);
     for (int i = 0; i < 10; ++i)
         buffer.record(Seconds{double(i) + 0.5}, -0.01);
-    engine.evaluate(Seconds{10.0}, lookupFor(buffer));
+    const std::vector<SloEdge> fired =
+        engine.evaluate(Seconds{10.0}, lookupFor(buffer));
+    ASSERT_EQ(fired.size(), 1u);
+    EXPECT_EQ(fired[0].state.rule.name, "margin_floor");
+    EXPECT_TRUE(fired[0].fired);
+    EXPECT_DOUBLE_EQ(fired[0].state.firedAt.value(), 10.0);
+
+    // No transition, no edge.
+    EXPECT_TRUE(engine.evaluate(Seconds{10.0}, lookupFor(buffer)).empty());
+
     for (int i = 10; i < 25; ++i)
         buffer.record(Seconds{double(i) + 0.5}, 0.05);
-    engine.evaluate(Seconds{25.0}, lookupFor(buffer));
-    ASSERT_EQ(edges.size(), 2u);
-    EXPECT_EQ(edges[0], (std::pair<std::string, bool>{"margin_floor",
-                                                      true}));
-    EXPECT_EQ(edges[1], (std::pair<std::string, bool>{"margin_floor",
-                                                      false}));
+    const std::vector<SloEdge> resolved =
+        engine.evaluate(Seconds{25.0}, lookupFor(buffer));
+    ASSERT_EQ(resolved.size(), 1u);
+    EXPECT_EQ(resolved[0].state.rule.name, "margin_floor");
+    EXPECT_FALSE(resolved[0].fired);
+    EXPECT_DOUBLE_EQ(resolved[0].state.resolvedAt.value(), 25.0);
 }
 
 TEST(SloEngine, ViolationAboveDirection)
