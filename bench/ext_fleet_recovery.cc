@@ -214,7 +214,7 @@ runArm(const ArmSpec &arm, const StudyConfig &study,
     const int64_t ticks =
         int64_t(study.duration.value() / kDt.value() + 0.5);
     for (int64_t t = 0; t < ticks; ++t) {
-        stepper.step(kDt);
+        stepper.run(1, kDt);
         for (size_t i = 0; i < study.servers; ++i) {
             const system::Server &server = *servers[i];
             const double simTime = server.chip(0).simTime().value();

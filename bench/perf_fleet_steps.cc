@@ -167,7 +167,7 @@ main(int argc, char **argv)
 
     // Sampled: phase detector + analytic fast-forward on a settled,
     // steady-state fleet. Timed back-to-back with the same fleet plus
-    // the full telemetry plane (hub, sharded series, quantile sketches,
+    // the full telemetry plane (hub, fleet series, quantile sketches,
     // flight recorder armed => tracing on): interleaving the repeats
     // pairs each telemetry window with an adjacent sampled window, so
     // a CPU-steal burst hits both sides of a pair or neither. The

@@ -174,11 +174,11 @@ class Chip
     /** Advance the chip by dt. */
     void step(Seconds dt);
 
-    /** @name Phase stepping (system::FleetStepper sweeps)
+    /** @name Phase stepping (system::Server::step sweeps)
      *
-     * step() decomposes into three phases so a shard sweep can run the
-     * same phase across many chips back-to-back (sense → control →
-     * commit share code paths and model tables across the shard).
+     * step() decomposes into three phases so a server can run the same
+     * phase across its sockets back-to-back (sense → control → commit
+     * share code paths and model tables across the sockets).
      * Calling the three phases in order with the same dt is exactly
      * step(); any other interleaving per chip is undefined.
      */

@@ -30,7 +30,7 @@
  * `tools/lint.py` does (see docs/STATIC_ANALYSIS.md):
  *
  *  - AG_SINGLE_WRITER(owners)  exactly one thread — the owner listed —
- *                              may call this mutator (telemetry lanes);
+ *                              may call this mutator (telemetry series);
  *  - AG_CONTROL_THREAD         control-thread-only entry point, must
  *                              not be called from worker sweeps.
  */

@@ -180,7 +180,18 @@ HealthAwarePlacer::place(const std::vector<chip::ChipHealthView> &health,
                          Seconds now)
 {
     updateTrust(health);
-    return assign(health, threads, coresPerSocket, now);
+    Decision decision = assign(health, threads, coresPerSocket);
+    if (obs::tracingEnabled()) {
+        obs::TraceEvent event;
+        event.kind = obs::TraceKind::PlacementDecision;
+        event.simTime = now;
+        event.a = double(decision.migrated);
+        event.b = double(std::count(decision.trusted.begin(),
+                                    decision.trusted.end(), true));
+        event.detail = decision.reason;
+        obs::emit(std::move(event));
+    }
+    return decision;
 }
 
 bool
@@ -225,8 +236,7 @@ HealthAwarePlacer::updateTrust(
 
 HealthAwarePlacer::Decision
 HealthAwarePlacer::assign(const std::vector<chip::ChipHealthView> &health,
-                          size_t threads, size_t coresPerSocket,
-                          Seconds now)
+                          size_t threads, size_t coresPerSocket)
 {
     const size_t sockets = health.size();
     fatalIf(coresPerSocket == 0,
@@ -345,15 +355,6 @@ HealthAwarePlacer::assign(const std::vector<chip::ChipHealthView> &health,
     obsDecisions_->add();
     if (decision.migrated > 0)
         obsMigrations_->add(int64_t(decision.migrated));
-    if (obs::tracingEnabled()) {
-        obs::TraceEvent event;
-        event.kind = obs::TraceKind::PlacementDecision;
-        event.simTime = now;
-        event.a = double(decision.migrated);
-        event.b = double(healthySockets);
-        event.detail = decision.reason;
-        obs::emit(std::move(event));
-    }
     return decision;
 }
 

@@ -135,7 +135,9 @@ struct HealthAwareParams
  *
  * Observability: every decision bumps `placement.health.decisions`,
  * migrations bump `placement.health.migrations`, and (when tracing)
- * each decision emits a PlacementDecision trace event with the reason.
+ * each place() emits a PlacementDecision trace event with the reason.
+ * Callers that drive assign() directly emit their own event
+ * (recovery::RecoveryManager emits one per fleet re-place).
  */
 class HealthAwarePlacer
 {
@@ -164,7 +166,7 @@ class HealthAwarePlacer
 
     /**
      * Decide this quantum's per-socket thread counts: updateTrust()
-     * then assign().
+     * then assign(), then (when tracing) a PlacementDecision event.
      *
      * @param health One view per socket, polled between quanta.
      * @param threads Threads to place (<= sockets x coresPerSocket).
@@ -186,11 +188,11 @@ class HealthAwarePlacer
 
     /**
      * The assignment half of place(): apportion `threads` over the
-     * current trust flags, count migrations, bump the decision counter
-     * and emit the PlacementDecision event. Needs updateTrust() first.
+     * current trust flags, count migrations and bump the decision
+     * counter. Needs updateTrust() first.
      */
     Decision assign(const std::vector<chip::ChipHealthView> &health,
-                    size_t threads, size_t coresPerSocket, Seconds now);
+                    size_t threads, size_t coresPerSocket);
 
     /** Threads moved across sockets since construction. */
     int64_t migrations() const { return migrations_; }

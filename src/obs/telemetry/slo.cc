@@ -35,21 +35,22 @@ SloEngine::addRule(SloRule rule)
 }
 
 double
-SloEngine::badFraction(const MergedSeries &series, const SloRule &rule,
+SloEngine::badFraction(const TimeSeriesBuffer *series, const SloRule &rule,
                        Seconds now, Seconds window, bool &hasData)
 {
     hasData = false;
-    if (series.empty())
+    if (series == nullptr || series->empty())
         return 0.0;
     const Seconds start = now - window;
+    const Seconds interval = series->interval();
     uint64_t total = 0;
     uint64_t bad = 0;
-    for (size_t k = 0; k < series.buckets.size(); ++k) {
-        const TimeBucket &bucket = series.buckets[k];
+    for (int64_t b = series->firstBucket(); b <= series->lastBucket(); ++b) {
+        const TimeBucket bucket = series->bucket(b);
         if (bucket.count == 0)
             continue;
-        const Seconds lo = series.bucketStart(k);
-        const Seconds hi = lo + series.interval;
+        const Seconds lo = interval * double(b);
+        const Seconds hi = lo + interval;
         // Buckets whose span intersects [now - window, now].
         if (hi <= start || lo > now)
             continue;
@@ -73,7 +74,7 @@ SloEngine::evaluate(Seconds now, const SeriesLookup &lookup)
     std::vector<SloEdge> edges;
     for (SloAlertState &state : alerts_) {
         const SloRule &rule = state.rule;
-        const MergedSeries series = lookup(rule.series);
+        const TimeSeriesBuffer *series = lookup(rule.series);
         bool shortData = false;
         bool longData = false;
         const double shortBad =

@@ -17,8 +17,9 @@
  * TraceKind::SloAlert events into the shared trace stream (the flight
  * recorder arms on the fire events there) and returned to the caller.
  *
- * Evaluation is pull-only over merged time-series buckets; the engine
- * holds no references into simulation state and never feeds back.
+ * Evaluation is pull-only over time-series buckets read in place; the
+ * engine holds no references into simulation state and never feeds
+ * back.
  */
 
 #ifndef AGSIM_OBS_TELEMETRY_SLO_H
@@ -87,16 +88,19 @@ struct SloEdge
 };
 
 /**
- * Evaluates every registered rule against caller-supplied merged
- * series. Single-threaded by design: call evaluate() between fleet
- * sweeps (the TelemetryHub does this on its sample cadence).
+ * Evaluates every registered rule against caller-supplied series.
+ * Single-threaded by design: call evaluate() between fleet sweeps (the
+ * TelemetryHub does this on its sample cadence).
  */
 class SloEngine
 {
   public:
-    /** Series lookup the caller provides at evaluation time. */
+    /**
+     * Series lookup the caller provides at evaluation time; null for
+     * a name with no series.
+     */
     using SeriesLookup =
-        std::function<MergedSeries(const std::string &)>;
+        std::function<const TimeSeriesBuffer *(const std::string &)>;
 
     /** Register a rule (validated; duplicate names rejected). */
     void addRule(SloRule rule);
@@ -119,7 +123,7 @@ class SloEngine
 
   private:
     /** Bad-bucket fraction over buckets intersecting the window. */
-    static double badFraction(const MergedSeries &series,
+    static double badFraction(const TimeSeriesBuffer *series,
                               const SloRule &rule, Seconds now,
                               Seconds window, bool &hasData);
 

@@ -9,7 +9,7 @@ namespace agsim::obs::telemetry {
 
 namespace {
 
-/** Buckets retained per shard lane. */
+/** Buckets retained per series. */
 constexpr size_t kRingBuckets = 1024;
 /** Relative accuracy of the quantile sketches. */
 constexpr double kSketchAccuracy = 0.01;
@@ -38,73 +38,39 @@ TelemetryHub::TelemetryHub(TelemetryConfig config)
 }
 
 SeriesId
-TelemetryHub::declareSeries(const std::string &name, size_t shards)
+TelemetryHub::declareSeries(const std::string &name)
 {
     fatalIf(name.empty(), "telemetry series needs a name");
-    fatalIf(shards == 0, "telemetry series needs >= 1 shard");
     auto it = byName_.find(name);
-    if (it != byName_.end()) {
-        fatalIf(series_[it->second]->buffers.size() != shards,
-                "telemetry series '" + name +
-                    "' redeclared with a different shard count");
+    if (it != byName_.end())
         return it->second;
-    }
-    auto series = std::make_unique<Series>();
-    series->name = name;
-    series->buffers.reserve(shards);
-    series->sketches.reserve(shards);
-    for (size_t i = 0; i < shards; ++i) {
-        series->buffers.emplace_back(config_.sampleInterval, kRingBuckets);
-        series->sketches.emplace_back(kSketchAccuracy);
-    }
     const SeriesId id = series_.size();
-    series_.push_back(std::move(series));
+    series_.push_back(
+        Series{name, TimeSeriesBuffer(config_.sampleInterval, kRingBuckets),
+               stats::QuantileSketch(kSketchAccuracy)});
     byName_[name] = id;
     return id;
 }
 
-MergedSeries
-TelemetryHub::merged(SeriesId id) const
-{
-    fatalIf(id >= series_.size(), "unknown telemetry series id");
-    std::vector<const TimeSeriesBuffer *> lanes;
-    lanes.reserve(series_[id]->buffers.size());
-    for (const TimeSeriesBuffer &buffer : series_[id]->buffers)
-        lanes.push_back(&buffer);
-    return TimeSeriesBuffer::merge(lanes);
-}
-
-MergedSeries
-TelemetryHub::merged(const std::string &name) const
+const TimeSeriesBuffer *
+TelemetryHub::series(const std::string &name) const
 {
     auto it = byName_.find(name);
-    if (it == byName_.end())
-        return MergedSeries{};
-    return merged(it->second);
-}
-
-stats::QuantileSketch
-TelemetryHub::mergedSketch(SeriesId id) const
-{
-    fatalIf(id >= series_.size(), "unknown telemetry series id");
-    stats::QuantileSketch out(kSketchAccuracy);
-    for (const stats::QuantileSketch &sketch : series_[id]->sketches)
-        out.merge(sketch);
-    return out;
+    return it == byName_.end() ? nullptr : &series_[it->second].buffer;
 }
 
 void
 TelemetryHub::writeSampleLines(Seconds now)
 {
-    for (SeriesId id = 0; id < series_.size(); ++id) {
-        const MergedSeries view = merged(id);
-        if (view.empty())
+    for (const Series &series : series_) {
+        const TimeSeriesBuffer &buffer = series.buffer;
+        if (buffer.empty())
             continue;
-        const TimeBucket &latest = view.buckets.back();
+        const TimeBucket latest = buffer.bucket(buffer.lastBucket());
         JsonLineWriter line;
         line.set("kind", "sample");
         line.set("t", now.value());
-        line.set("series", series_[id]->name);
+        line.set("series", series.name);
         if (latest.count > 0) {
             line.set("mean", latest.mean());
             line.set("min", latest.min);
@@ -112,11 +78,10 @@ TelemetryHub::writeSampleLines(Seconds now)
             line.set("last", latest.last);
             line.set("n", latest.count);
         }
-        const stats::QuantileSketch sketch = mergedSketch(id);
-        if (sketch.count() > 0) {
-            line.set("p50", sketch.quantile(0.5));
-            line.set("p99", sketch.quantile(0.99));
-            line.set("total_n", sketch.count());
+        if (series.sketch.count() > 0) {
+            line.set("p50", series.sketch.quantile(0.5));
+            line.set("p99", series.sketch.quantile(0.99));
+            line.set("total_n", series.sketch.count());
         }
         stream_.writeLine(line);
     }
@@ -131,7 +96,7 @@ TelemetryHub::tick(Seconds now)
 
     const std::vector<SloEdge> edges =
         slo_.evaluate(now, [this](const std::string &name) {
-            return merged(name);
+            return series(name);
         });
     if (stream_.isOpen()) {
         for (const SloEdge &edge : edges) {

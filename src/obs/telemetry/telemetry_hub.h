@@ -4,13 +4,12 @@
  *
  * One hub per run wires the streaming pieces together:
  *
- *  - named time series, each sharded into single-writer
- *    TimeSeriesBuffer lanes so FleetStepper worker threads record
- *    without locks (one shard per chip-shard, merged on read);
- *  - per-shard mergeable QuantileSketches for the same series, giving
- *    cheap p50/p99 over the full run without retaining samples;
- *  - an SloEngine evaluated on the sample cadence against the merged
- *    series; its fire/resolve edges become stream alert lines;
+ *  - named time series, one TimeSeriesBuffer each, plus one
+ *    QuantileSketch per series giving cheap p50/p99 over the full run
+ *    without retaining samples;
+ *  - an SloEngine evaluated on the sample cadence against those
+ *    buffers in place; its fire/resolve edges become stream alert
+ *    lines;
  *  - an optional FlightRecorder that reads the process trace ring on
  *    the same cadence (the SLO fire events it arms on travel through
  *    that ring too); enabling it turns tracing on;
@@ -22,11 +21,11 @@
  * (config.enabled = false) turns record() and tick() into early
  * returns, so instrumented call sites cost one branch.
  *
- * Threading: declareSeries() and tick() belong to the control thread,
- * between fleet sweeps. record(id, shard, ...) is safe from worker
- * threads as long as each (id, shard) lane has one writer — the
- * FleetStepper aligns its thread ranges to shard boundaries to keep
- * that true.
+ * Threading: the hub is a control-thread object. declareSeries(),
+ * record() and tick() all run between fleet sweeps; FleetStepper
+ * workers park each chip's sample in its slot and the control thread
+ * records the parked samples after the block barrier, so no worker
+ * ever touches the hub.
  */
 
 #ifndef AGSIM_OBS_TELEMETRY_TELEMETRY_HUB_H
@@ -80,37 +79,32 @@ class TelemetryHub
     Seconds sampleInterval() const { return config_.sampleInterval; }
 
     /**
-     * Declare a named series with `shards` single-writer lanes.
-     * Control-thread only, before workers start recording. Declaring
-     * an existing name again returns the same id (shards must match).
+     * Declare a named series. Declaring an existing name again returns
+     * the same id.
      */
     AG_CONTROL_THREAD
-    SeriesId declareSeries(const std::string &name, size_t shards = 1);
+    SeriesId declareSeries(const std::string &name);
 
     /**
-     * Lock-free sample write into one shard lane. The single-writer
-     * contract (one thread per (id, shard) lane) is what makes the
-     * lockless TimeSeriesBuffer sound; tools/lint.py's single-writer
-     * check pins the caller set to the owning shard sweeps.
+     * Lock-free sample write. The control thread is the one writer,
+     * which is what makes the lockless TimeSeriesBuffer sound;
+     * tools/lint.py's single-writer check pins the caller set to the
+     * three control-thread owners.
      */
     AG_SINGLE_WRITER("src/system/fleet_stepper.cc,"
                      "src/system/fleet_service.cc,"
                      "src/recovery/recovery_manager.cc")
-    void record(SeriesId id, size_t shard, Seconds t, double value)
+    void record(SeriesId id, Seconds t, double value)
     {
         if (!config_.enabled)
             return;
-        Series &series = *series_[id];
-        series.buffers[shard].record(t, value);
-        series.sketches[shard].add(value);
+        Series &series = series_[id];
+        series.buffer.record(t, value);
+        series.sketch.add(value);
     }
 
-    /** Merged view across shards; empty series if the name is unknown. */
-    MergedSeries merged(const std::string &name) const;
-    MergedSeries merged(SeriesId id) const;
-
-    /** Cross-shard quantile sketch for a series. */
-    stats::QuantileSketch mergedSketch(SeriesId id) const;
+    /** A series' buckets; null if no series has that name. */
+    const TimeSeriesBuffer *series(const std::string &name) const;
 
     SloEngine &slo() { return slo_; }
     const SloEngine &slo() const { return slo_; }
@@ -133,14 +127,14 @@ class TelemetryHub
     struct Series
     {
         std::string name;
-        std::vector<TimeSeriesBuffer> buffers;
-        std::vector<stats::QuantileSketch> sketches;
+        TimeSeriesBuffer buffer;
+        stats::QuantileSketch sketch;
     };
 
     void writeSampleLines(Seconds now);
 
     TelemetryConfig config_;
-    std::vector<std::unique_ptr<Series>> series_;
+    std::vector<Series> series_;
     std::map<std::string, SeriesId> byName_;
     SloEngine slo_;
     std::unique_ptr<FlightRecorder> recorder_;

@@ -21,16 +21,6 @@ bucketStatValue(const TimeBucket &bucket, BucketStat stat)
     return 0.0;
 }
 
-double
-MergedSeries::latest(BucketStat stat) const
-{
-    for (size_t k = buckets.size(); k > 0; --k) {
-        if (buckets[k - 1].count > 0)
-            return bucketStatValue(buckets[k - 1], stat);
-    }
-    return 0.0;
-}
-
 TimeSeriesBuffer::TimeSeriesBuffer(Seconds interval, size_t capacity)
     : interval_(interval)
 {
@@ -97,42 +87,6 @@ TimeSeriesBuffer::clear()
     last_ = 0;
     recorded_ = 0;
     droppedOld_ = 0;
-}
-
-MergedSeries
-TimeSeriesBuffer::merge(const std::vector<const TimeSeriesBuffer *> &buffers)
-{
-    MergedSeries merged;
-    int64_t lo = 0;
-    int64_t hi = 0;
-    bool any = false;
-    for (const TimeSeriesBuffer *buffer : buffers) {
-        if (buffer == nullptr || buffer->empty())
-            continue;
-        if (!any) {
-            merged.interval = buffer->interval();
-            lo = buffer->firstBucket();
-            hi = buffer->lastBucket();
-            any = true;
-            continue;
-        }
-        fatalIf(buffer->interval() != merged.interval,
-                "cannot merge time series with different intervals");
-        lo = std::min(lo, buffer->firstBucket());
-        hi = std::max(hi, buffer->lastBucket());
-    }
-    if (!any)
-        return merged;
-    merged.firstBucket = lo;
-    merged.buckets.resize(size_t(hi - lo + 1));
-    for (const TimeSeriesBuffer *buffer : buffers) {
-        if (buffer == nullptr || buffer->empty())
-            continue;
-        for (int64_t b = buffer->firstBucket(); b <= buffer->lastBucket();
-             ++b)
-            merged.buckets[size_t(b - lo)].fold(buffer->bucket(b));
-    }
-    return merged;
 }
 
 } // namespace agsim::obs::telemetry

@@ -9,14 +9,11 @@
  * signal's memory stays bounded for arbitrarily long runs while the
  * retained window keeps full resolution at the configured interval.
  *
- * Concurrency contract: each buffer is SINGLE-WRITER. The fleet sweep
- * gives every shard its own buffer per signal (shard-aligned worker
- * ranges, see system::FleetStepper), so writers never contend and
- * record() takes no lock. Readers must not overlap a writer — the
- * fleet loop samples between sweeps (after worker joins), which is the
- * only read point. Cross-shard views come from merge(), which folds
- * aligned buckets from any number of buffers; merging is associative
- * and commutative (tests/test_time_series.cc).
+ * Concurrency contract: each buffer has ONE writer, the control
+ * thread. The fleet sweep parks each chip's sample in its stepper slot
+ * and the control thread records the parked samples after the block
+ * barrier (system::FleetStepper), so record() takes no lock and readers
+ * (SLO evaluation, stream lines) never overlap a write.
  */
 
 #ifndef AGSIM_OBS_TELEMETRY_TIME_SERIES_H
@@ -54,21 +51,6 @@ struct TimeBucket
         last = v;
     }
 
-    void fold(const TimeBucket &other)
-    {
-        if (other.count == 0)
-            return;
-        if (count == 0) {
-            *this = other;
-            return;
-        }
-        min = other.min < min ? other.min : min;
-        max = other.max > max ? other.max : max;
-        count += other.count;
-        sum += other.sum;
-        last = other.last;
-    }
-
     double mean() const { return count > 0 ? sum / double(count) : 0.0; }
 };
 
@@ -87,32 +69,6 @@ enum class BucketStat
 double bucketStatValue(const TimeBucket &bucket, BucketStat stat);
 
 /**
- * A merged window of aligned buckets, the cross-shard read view.
- * Bucket k covers sim time [ (firstBucket+k)*interval,
- * (firstBucket+k+1)*interval ).
- */
-struct MergedSeries
-{
-    Seconds interval = Seconds{0.0};
-    int64_t firstBucket = 0;
-    std::vector<TimeBucket> buckets;
-
-    bool empty() const { return buckets.empty(); }
-
-    /** Start time of merged bucket k. */
-    Seconds bucketStart(size_t k) const
-    {
-        return interval * double(firstBucket + int64_t(k));
-    }
-
-    /**
-     * The newest non-empty bucket's statistic (0 when the window holds
-     * no samples) — what the live dashboard shows per signal.
-     */
-    double latest(BucketStat stat) const;
-};
-
-/**
  * Single-writer downsampling ring: samples land in fixed sim-time
  * buckets, the newest `capacity` buckets are retained.
  */
@@ -128,7 +84,8 @@ class TimeSeriesBuffer
     /**
      * Record one sample at sim time t. Samples older than the retained
      * window are dropped (counted); time may otherwise move backward
-     * freely within the window (shards drift by a tick block).
+     * freely within the window (a chip reactivated after an outage
+     * resumes at the sim time its clock froze at).
      */
     void record(Seconds t, double v);
 
@@ -155,14 +112,6 @@ class TimeSeriesBuffer
 
     /** Discard all samples (interval/capacity kept). */
     void clear();
-
-    /**
-     * Fold any number of buffers (same interval — enforced) into one
-     * aligned bucket window spanning the union of their retained
-     * ranges. Null entries are skipped.
-     */
-    static MergedSeries merge(
-        const std::vector<const TimeSeriesBuffer *> &buffers);
 
   private:
     /** slotIndex_ sentinel: the ring slot has never been written. */

@@ -1,12 +1,32 @@
 #include "recovery/recovery_manager.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/error.h"
 #include "obs/observability.h"
 
 namespace agsim::recovery {
+
+namespace {
+
+/** Whether a decision distrusts a socket that commands adaptive mode. */
+bool
+steersAround(const core::HealthAwarePlacer &placer,
+             const std::vector<chip::ChipHealthView> &health,
+             const core::HealthAwarePlacer::Decision &decision)
+{
+    if (!placer.params().enabled)
+        return false;
+    for (size_t s = 0; s < health.size(); ++s) {
+        if (health[s].adaptiveCommanded() && !decision.trusted[s])
+            return true;
+    }
+    return false;
+}
+
+} // namespace
 
 void
 RecoveryPolicy::validate() const
@@ -155,10 +175,10 @@ RecoveryManager::sampleTelemetry()
     if (hub_ == nullptr || !hub_->enabled() || now_ < nextTelemetryAt_)
         return;
     nextTelemetryAt_ = now_ + hub_->sampleInterval();
-    hub_->record(tsOnline_, 0, now_, double(onlineCount()));
-    hub_->record(tsRung_, 0, now_, double(rung_));
-    hub_->record(tsMttr_, 0, now_, meanTimeToRecover().value());
-    hub_->record(tsPlaced_, 0, now_, double(placedThreads_));
+    hub_->record(tsOnline_, now_, double(onlineCount()));
+    hub_->record(tsRung_, now_, double(rung_));
+    hub_->record(tsMttr_, now_, meanTimeToRecover().value());
+    hub_->record(tsPlaced_, now_, double(placedThreads_));
 }
 
 void
@@ -506,6 +526,12 @@ RecoveryManager::applyPlacement()
     if (moved > 0)
         obsMigrations_->add(moved);
 
+    // One PlacementDecision per re-place: servers the placer re-assigned,
+    // plus the reason of each one that steers around a socket.
+    const bool tracing = obs::tracingEnabled();
+    size_t reassigned = 0;
+    std::string steering;
+
     for (size_t i = 0; i < servers_.size(); ++i) {
         ServerRecord &record = servers_[i];
         if (!servable(record)) {
@@ -531,10 +557,14 @@ RecoveryManager::applyPlacement()
             if (known && !trustFlipped &&
                 counts[i] == record.assignedThreads)
                 continue;
-            perSocket = record.placer
-                            .assign(health, size_t(counts[i]),
-                                    server.chip(0).coreCount(), now_)
-                            .threadsPerSocket;
+            core::HealthAwarePlacer::Decision decision =
+                record.placer.assign(health, size_t(counts[i]),
+                                     server.chip(0).coreCount());
+            ++reassigned;
+            if (tracing && steersAround(record.placer, health, decision))
+                steering += "; server " + std::to_string(i) + ": " +
+                            decision.reason;
+            perSocket = std::move(decision.threadsPerSocket);
         }
         for (size_t s = 0; s < server.socketCount(); ++s) {
             const size_t threads = perSocket[s];
@@ -552,6 +582,16 @@ RecoveryManager::applyPlacement()
 
     placedThreads_ = want;
     obsShedThreads_->set(double(workloadThreads_ - want));
+
+    if (tracing && reassigned > 0) {
+        obs::TraceEvent event;
+        event.kind = obs::TraceKind::PlacementDecision;
+        event.simTime = now_;
+        event.a = double(moved);
+        event.b = double(reassigned);
+        event.detail = "reassigned " + std::to_string(reassigned) + steering;
+        obs::emit(std::move(event));
+    }
 }
 
 } // namespace agsim::recovery

@@ -21,7 +21,11 @@
  * lets each server's HealthAwarePlacer pick sockets. It re-places on
  * every setWorkload, failure, recovery, and ladder move, and rewrites
  * only the sockets whose thread count changed, so untouched chips keep
- * their phase-sampling state.
+ * their phase-sampling state. With tracing on, a re-place that
+ * re-assigns any server emits one PlacementDecision for the fleet.
+ *
+ * Its recovery.* telemetry series are recorded on the control thread,
+ * like every other series (obs::telemetry::TelemetryHub).
  *
  * Failure model (docs/RELIABILITY.md has the full taxonomy):
  *
@@ -165,8 +169,8 @@ class RecoveryManager
      * Advance fleet time by dt and run the recovery pipeline: apply
      * server-scope faults, watchdog, probes, restores, checkpoint
      * capture, degradation ladder. Runs between fleet sweeps (no
-     * worker threads are live), which is also what makes the manager's
-     * shard-0 telemetry writes single-writer.
+     * worker threads are live), on the control thread that writes
+     * every telemetry series.
      */
     AG_CONTROL_THREAD
     void tick(Seconds dt);

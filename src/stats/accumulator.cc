@@ -25,24 +25,6 @@ Accumulator::addWeighted(double x, double weight)
 }
 
 void
-Accumulator::merge(const Accumulator &other)
-{
-    if (other.empty())
-        return;
-    if (empty()) {
-        *this = other;
-        return;
-    }
-    const double total = weight_ + other.weight_;
-    const double delta = other.mean_ - mean_;
-    m2_ += other.m2_ + delta * delta * weight_ * other.weight_ / total;
-    mean_ += delta * (other.weight_ / total);
-    weight_ = total;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-void
 Accumulator::reset()
 {
     *this = Accumulator();

@@ -29,9 +29,6 @@ class Accumulator
     /** Add a weighted sample (weight acts as a repeat count). */
     void addWeighted(double x, double weight);
 
-    /** Merge another accumulator into this one. */
-    void merge(const Accumulator &other);
-
     /** Reset to empty. */
     void reset();
 

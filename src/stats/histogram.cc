@@ -34,19 +34,6 @@ Histogram::add(double x)
     ++counts_[idx];
 }
 
-void
-Histogram::merge(const Histogram &other)
-{
-    fatalIf(lo_ != other.lo_ || hi_ != other.hi_ ||
-                counts_.size() != other.counts_.size(),
-            "histogram merge requires an identical bin layout");
-    underflow_ += other.underflow_;
-    overflow_ += other.overflow_;
-    total_ += other.total_;
-    for (size_t i = 0; i < counts_.size(); ++i)
-        counts_[i] += other.counts_[i];
-}
-
 uint64_t
 Histogram::binCount(size_t i) const
 {

@@ -28,15 +28,6 @@ class Histogram
     /** Add one sample. */
     void add(double x);
 
-    /**
-     * Fold another histogram into this one. Both must share the exact
-     * same bin layout (lo, hi, bin count — enforced); the result is
-     * identical to having added both sample streams to one histogram,
-     * so cross-shard merging is associative and commutative
-     * (tests/test_stats_merge.cc).
-     */
-    void merge(const Histogram &other);
-
     /** Count in bin i (0-based). */
     uint64_t binCount(size_t i) const;
 

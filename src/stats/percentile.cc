@@ -13,16 +13,6 @@ PercentileTracker::add(double x)
     sorted_ = false;
 }
 
-void
-PercentileTracker::merge(const PercentileTracker &other)
-{
-    if (other.samples_.empty())
-        return;
-    samples_.insert(samples_.end(), other.samples_.begin(),
-                    other.samples_.end());
-    sorted_ = false;
-}
-
 double
 PercentileTracker::percentile(double p) const
 {

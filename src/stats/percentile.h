@@ -4,7 +4,7 @@
  *
  * The QoS path (WebSearch p90 tail latency, Fig. 17) needs percentiles over
  * bounded windows — PercentileTracker stores the window exactly. Unbounded
- * or sharded streams use the mergeable stats::QuantileSketch instead.
+ * streams use stats::QuantileSketch instead.
  */
 
 #ifndef AGSIM_STATS_PERCENTILE_H
@@ -27,13 +27,6 @@ class PercentileTracker
   public:
     /** Add one sample. */
     void add(double x);
-
-    /**
-     * Fold another tracker's samples into this one. Exact: the merged
-     * tracker answers every percentile query as if both streams had
-     * been added to it directly (order never matters).
-     */
-    void merge(const PercentileTracker &other);
 
     /** Number of stored samples. */
     size_t count() const { return samples_.size(); }

@@ -107,29 +107,6 @@ QuantileSketch::add(double x, uint64_t weight)
     }
 }
 
-void
-QuantileSketch::merge(const QuantileSketch &other)
-{
-    fatalIf(alpha_ != other.alpha_,
-            "cannot merge quantile sketches with different accuracies");
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        min_ = other.min_;
-        max_ = other.max_;
-    } else {
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
-    zero_ += other.zero_;
-    for (const auto &[index, n] : other.positive_)
-        positive_[index] += n;
-    for (const auto &[index, n] : other.negative_)
-        negative_[index] += n;
-}
-
 double
 QuantileSketch::quantile(double q) const
 {

@@ -1,23 +1,19 @@
 /**
  * @file
- * Mergeable streaming quantile sketch (DDSketch-style).
+ * Streaming quantile sketch (DDSketch-style).
  *
  * The telemetry plane needs tail quantiles (QoS p99 latency, voltage
  * margin floors, per-chip throughput distributions) over streams that
- * are (a) unbounded, (b) produced concurrently by independent fleet
- * shards, and (c) queried live mid-run. PercentileTracker stores every
- * sample, so its memory grows with the stream; this sketch holds a
- * bounded set of buckets and merges across shards.
+ * are (a) unbounded and (b) queried live mid-run. PercentileTracker
+ * stores every sample, so its memory grows with the stream; this
+ * sketch holds a bounded set of buckets.
  *
  * Design: logarithmic buckets with relative accuracy alpha — bucket i
  * covers (gamma^(i-1), gamma^i] with gamma = (1+alpha)/(1-alpha), so
  * any quantile estimate is within a factor (1±alpha) of the true
  * value. Negative values get a mirrored bucket map (voltage margins go
  * negative under droop), and near-zero values collapse into a zero
- * bucket. Merging two sketches with the same alpha is exact bucket
- * addition: merge(a, b) holds every quantile guarantee the combined
- * stream would, and is associative and commutative — the property the
- * per-shard telemetry path relies on (tests/test_quantile_sketch.cc).
+ * bucket.
  *
  * Memory is O(log(max/min)/alpha) buckets: ~1 KB for microvolt-to-volt
  * ranges at alpha = 0.01. Adds are one map upsert — cheap enough for
@@ -33,7 +29,7 @@
 
 namespace agsim::stats {
 
-/** Mergeable log-bucket quantile sketch with relative-error bounds. */
+/** Log-bucket quantile sketch with relative-error bounds. */
 class QuantileSketch
 {
   public:
@@ -52,19 +48,12 @@ class QuantileSketch
     void add(double x, uint64_t weight = 1);
 
     /**
-     * Fold another sketch into this one. Both must share the same
-     * relative accuracy (enforced); the result is identical to having
-     * added both streams to one sketch.
-     */
-    void merge(const QuantileSketch &other);
-
-    /**
      * Estimated value of quantile q in [0, 1] (0.99 = p99).
      * Returns 0 when empty.
      */
     double quantile(double q) const;
 
-    /** Total observations (including merged ones). */
+    /** Total observations. */
     uint64_t count() const { return count_; }
 
     /** Exact minimum observed value (0 when empty). */

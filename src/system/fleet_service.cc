@@ -323,12 +323,12 @@ FleetService::sampleTelemetry(uint64_t arrived, uint64_t admitted,
     if (!telemetryOn_)
         return;
     const double q = quantum().value();
-    hub_->record(tsRate_, 0, now_, double(arrived) / q);
-    hub_->record(tsDepth_, 0, now_, double(queueDepth()));
+    hub_->record(tsRate_, now_, double(arrived) / q);
+    hub_->record(tsDepth_, now_, double(queueDepth()));
     if (completed > 0)
-        hub_->record(tsLatency_, 0, now_, meanLatency.value() * 1e3);
-    hub_->record(tsShedRate_, 0, now_, double(shed) / q);
-    hub_->record(tsThroughput_, 0, now_, double(completed) / q);
+        hub_->record(tsLatency_, now_, meanLatency.value() * 1e3);
+    hub_->record(tsShedRate_, now_, double(shed) / q);
+    hub_->record(tsThroughput_, now_, double(completed) / q);
 }
 
 void

@@ -98,9 +98,10 @@ FleetStepper::freeze()
         pool_ = std::make_unique<StealPool>(std::min(threads, shards));
     telemetryOn_ = hub_ != nullptr && hub_->enabled();
     if (telemetryOn_) {
-        tsMargin_ = hub_->declareSeries("fleet.margin", shards);
-        tsFreq_ = hub_->declareSeries("fleet.freq_ghz", shards);
-        tsPower_ = hub_->declareSeries("fleet.power_w", shards);
+        sampleInterval_ = hub_->sampleInterval();
+        tsMargin_ = hub_->declareSeries("fleet.margin");
+        tsFreq_ = hub_->declareSeries("fleet.freq_ghz");
+        tsPower_ = hub_->declareSeries("fleet.power_w");
     }
     // Migrate every chip into one shared SoA arena. The arena needs one
     // per-core lane stride; mixed-core fleets keep their private blocks
@@ -256,11 +257,7 @@ FleetStepper::sampleSlot(Slot &slot)
     const Seconds t = c.simTime();
     if (t < slot.nextSampleAt)
         return;
-    slot.nextSampleAt = t + hub_->sampleInterval();
-    const size_t shard =
-        size_t(&slot - slots_.data()) / config_.shardSize;
-    hub_->record(tsMargin_, shard, t, c.lastWorstMargin().value());
-    hub_->record(tsPower_, shard, t, c.power().value());
+    slot.nextSampleAt = t + sampleInterval_;
     double meanFreq = 0.0;
     size_t activeCores = 0;
     for (size_t i = 0; i < c.coreCount(); ++i) {
@@ -272,7 +269,22 @@ FleetStepper::sampleSlot(Slot &slot)
     }
     if (activeCores > 0)
         meanFreq /= double(activeCores);
-    hub_->record(tsFreq_, shard, t, meanFreq / 1e9);
+    slot.sample = ParkedSample{t, c.lastWorstMargin().value(),
+                               c.power().value(), meanFreq / 1e9, true};
+}
+
+void
+FleetStepper::recordParkedSamples()
+{
+    for (Slot &slot : slots_) {
+        ParkedSample &sample = slot.sample;
+        if (!sample.pending)
+            continue;
+        sample.pending = false;
+        hub_->record(tsMargin_, sample.t, sample.margin);
+        hub_->record(tsPower_, sample.t, sample.power);
+        hub_->record(tsFreq_, sample.t, sample.freqGhz);
+    }
 }
 
 void
@@ -364,10 +376,7 @@ FleetStepper::run(int64_t ticks, Seconds dt)
     std::vector<int64_t> exactPer(workers);
     std::vector<int64_t> forwardedPer(workers);
     int64_t n = 0;
-    // One task per shard: every telemetry shard lane has exactly one
-    // writer per tick block, and the pool's barrier orders block N's
-    // writes before block N+1's (lanes may hop threads between blocks,
-    // never within one). Chips are independent, so any assignment of
+    // One task per shard. Chips are independent, so any assignment of
     // shards to workers is bit-identical to the inline loop.
     const StealPool::TaskFn stepShard = [&](size_t worker, size_t shard) {
         const size_t lo = shard * config_.shardSize;
@@ -389,6 +398,8 @@ FleetStepper::run(int64_t ticks, Seconds dt)
         } else {
             pool_->sweep(shards, stepShard);
         }
+        if (telemetryOn_)
+            recordParkedSamples();
         const int64_t exact =
             std::accumulate(exactPer.begin(), exactPer.end(), int64_t(0));
         const int64_t forwarded = std::accumulate(
@@ -399,35 +410,6 @@ FleetStepper::run(int64_t ticks, Seconds dt)
         obsChipsStepped_->add(exact);
         obsFastForwarded_->add(forwarded);
     }
-}
-
-void
-FleetStepper::step(Seconds dt)
-{
-    freeze();
-    obs::ScopedTimer timer(obsSweepTimer_);
-    int64_t stepped = 0;
-    for (Slot &slot : slots_) {
-        if (slot.active)
-            slot.chip->stepSensePhase(dt);
-    }
-    for (Slot &slot : slots_) {
-        if (slot.active)
-            slot.chip->stepControlPhase(dt);
-    }
-    for (Slot &slot : slots_) {
-        if (slot.active) {
-            slot.chip->stepCommitPhase(dt);
-            ++stepped;
-        }
-    }
-    if (telemetryOn_) {
-        for (Slot &slot : slots_)
-            if (slot.active)
-                sampleSlot(slot);
-    }
-    exactSteps_ += stepped;
-    obsChipsStepped_->add(stepped);
 }
 
 } // namespace agsim::system

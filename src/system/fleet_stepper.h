@@ -16,7 +16,9 @@
  *    every chip serially: same model code, same per-chip RNG streams.
  *    With threads > 1, each tick block is one StealPool sweep with one
  *    task per shard; with threads <= 1 the same per-shard body runs
- *    inline on the caller.
+ *    inline on the caller. Workers never touch the telemetry hub: each
+ *    parks its chip's sample in the chip's slot, and the control thread
+ *    records the parked samples after the block's barrier.
  *
  *  - *Sampled stepping*: a per-chip steady-state detector watches a
  *    window of exact steps (margin variance/drift, frequency spread,
@@ -107,7 +109,7 @@ class FleetStepper
                               FleetStepperConfig());
 
     /**
-     * Register one chip. Must happen before the first run()/step().
+     * Register one chip. Must happen before the first run().
      * Returns the chip's fleet slot index (for setChipActive).
      */
     size_t addChip(chip::Chip *c);
@@ -133,30 +135,25 @@ class FleetStepper
     bool chipActive(size_t index) const;
 
     /**
-     * Advance every chip by `ticks` steps of dt — the fleet-bench entry
-     * point (temporal blocking; sampling when configured). Each tick
-     * block is one barrier sweep on the stepper's pool, so from the
-     * caller's view this is control-thread code; a task touches only
-     * its own shard's slots (no locks needed or taken).
+     * Advance every chip by `ticks` steps of dt (temporal blocking;
+     * sampling when configured). Each tick block is one barrier sweep
+     * on the stepper's pool, so from the caller's view this is
+     * control-thread code; a task touches only its own shard's slots
+     * (no locks needed or taken). Every active chip advances by
+     * exactly `ticks`, so run(1, dt) is the per-tick step a scheduler
+     * loop needs.
      */
     AG_CONTROL_THREAD
     void run(int64_t ticks, Seconds dt);
 
     /**
-     * One tick-synchronous sweep: each phase runs across every chip
-     * before the next phase starts, so all chips share one consistent
-     * sim time at every call boundary (what a per-tick scheduler
-     * loop needs). Always exact.
-     */
-    void step(Seconds dt);
-
-    /**
      * Attach the streaming telemetry plane (optional; may be null).
-     * Must happen before the first run()/step(): freeze() declares the
-     * fleet series with one single-writer lane per chip shard, and each
-     * sweep task is one shard, so each lane has exactly one writer
-     * thread per tick block. The hub must outlive the stepper.
-     * A disabled hub leaves the sweep bit-identical and branch-cheap.
+     * Must happen before the first run(): freeze() declares the
+     * fleet.* series. Workers park each chip's sample in its slot at
+     * the end of the chip's tick block and run() records the parked
+     * samples on the control thread after the block barrier, so no
+     * worker touches the hub. The hub must outlive the stepper. A
+     * disabled hub leaves the sweep bit-identical and branch-cheap.
      */
     void setTelemetry(obs::telemetry::TelemetryHub *hub);
 
@@ -175,6 +172,17 @@ class FleetStepper
     const FleetStepperConfig &config() const { return config_; }
 
   private:
+    /** One chip's telemetry sample, parked by the worker for run(). */
+    struct ParkedSample
+    {
+        Seconds t = Seconds{0.0};
+        double margin = 0.0;
+        double power = 0.0;
+        double freqGhz = 0.0;
+        /** Set by the worker, cleared once run() has recorded it. */
+        bool pending = false;
+    };
+
     /** Per-chip detector state. */
     struct Slot
     {
@@ -199,11 +207,12 @@ class FleetStepper
         int64_t forwardedSinceExact = 0;
         /** Next telemetry sample time for this chip (downsampling). */
         Seconds nextSampleAt = Seconds{0.0};
+        ParkedSample sample;
     };
 
     /**
      * Adopt all chips into one SoA arena and build the worker pool
-     * (first run/step).
+     * (first run).
      */
     void freeze();
 
@@ -228,11 +237,18 @@ class FleetStepper
     int64_t forwardBudget(const Slot &slot, Seconds dt) const;
 
     /**
-     * Record this chip's signals if its sample cadence is due. Runs on
-     * the worker that owns the slot's shard — the one writer of that
-     * shard's telemetry lanes (hub_->record's AG_SINGLE_WRITER).
+     * Park this chip's signals in its slot if its sample cadence is
+     * due. Runs on the worker stepping the chip, while the chip's
+     * state is still in that core's cache.
      */
     void sampleSlot(Slot &slot);
+
+    /**
+     * Record every parked sample into the hub in slot order. Runs on
+     * the control thread after a block's barrier, the one writer of
+     * the fleet.* series (hub_->record's AG_SINGLE_WRITER).
+     */
+    void recordParkedSamples();
 
     FleetStepperConfig config_;
     std::vector<Slot> slots_;
@@ -251,6 +267,8 @@ class FleetStepper
     obs::telemetry::TelemetryHub *hub_ = nullptr;
     /** Cached at freeze(): hub attached and enabled. */
     bool telemetryOn_ = false;
+    /** Cached at freeze(): the hub's sample interval. */
+    Seconds sampleInterval_ = Seconds{0.0};
     obs::telemetry::SeriesId tsMargin_ = 0;
     obs::telemetry::SeriesId tsFreq_ = 0;
     obs::telemetry::SeriesId tsPower_ = 0;

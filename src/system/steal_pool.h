@@ -24,9 +24,10 @@
  * tick-block N+1 while another is still at N).
  *
  * Determinism: tasks are mutually independent by contract (fleet
- * shards touch disjoint chip state and disjoint telemetry lanes; batch
- * tasks build private servers), so the assignment of tasks to workers
- * — the only thing stealing randomizes — cannot change any result.
+ * shards touch disjoint chip state and park telemetry samples in their
+ * own chips' slots; batch tasks build private servers), so the
+ * assignment of tasks to workers — the only thing stealing randomizes
+ * — cannot change any result.
  * Exact-mode fleet sweeps and batch sweeps are bit-identical at any
  * thread count (tests/test_fleet_stepper.cc, tests/test_run_batch.cc,
  * tests/test_fleet_service.cc).

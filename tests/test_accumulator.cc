@@ -66,37 +66,6 @@ TEST(Accumulator, ZeroWeightIgnored)
     EXPECT_TRUE(acc.empty());
 }
 
-TEST(Accumulator, MergeMatchesCombinedStream)
-{
-    Accumulator left, right, both;
-    for (int i = 0; i < 50; ++i) {
-        const double x = std::sin(i * 0.7) * 10.0;
-        (i % 2 == 0 ? left : right).add(x);
-        both.add(x);
-    }
-    left.merge(right);
-    EXPECT_NEAR(left.mean(), both.mean(), 1e-9);
-    EXPECT_NEAR(left.variance(), both.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(left.min(), both.min());
-    EXPECT_DOUBLE_EQ(left.max(), both.max());
-    EXPECT_DOUBLE_EQ(left.count(), both.count());
-}
-
-TEST(Accumulator, MergeWithEmptyIsIdentity)
-{
-    Accumulator acc;
-    acc.add(1.0);
-    acc.add(2.0);
-    Accumulator empty;
-    acc.merge(empty);
-    EXPECT_DOUBLE_EQ(acc.count(), 2.0);
-    EXPECT_DOUBLE_EQ(acc.mean(), 1.5);
-
-    Accumulator target;
-    target.merge(acc);
-    EXPECT_DOUBLE_EQ(target.mean(), 1.5);
-}
-
 TEST(Accumulator, ResetClearsEverything)
 {
     Accumulator acc;

@@ -231,7 +231,7 @@ TEST(FleetStepperExact, ThreadedSweepIsBitIdenticalToSerialStepping)
     }
 }
 
-TEST(FleetStepperExact, TickSynchronousStepMatchesChipStep)
+TEST(FleetStepperExact, SingleTickRunsMatchChipStep)
 {
     Fleet serial;
     Fleet fleet;
@@ -243,7 +243,7 @@ TEST(FleetStepperExact, TickSynchronousStepMatchesChipStep)
     for (int64_t t = 0; t < 200; ++t) {
         for (auto &c : serial.chips)
             c->step(kDt);
-        stepper.step(kDt);
+        stepper.run(1, kDt);
     }
 
     expectBitIdentical(serial, fleet);
@@ -467,7 +467,7 @@ TEST(FleetStepperExact, TickSynchronousStepSkipsInactiveChips)
 
     const int64_t exactBefore = stepper.exactSteps();
     for (int64_t t = 0; t < 20; ++t)
-        stepper.step(kDt);
+        stepper.run(1, kDt);
     EXPECT_EQ(stepper.exactSteps() - exactBefore, 20);
     EXPECT_EQ(fleet.chips[1]->simTime().value(), 0.0);
     EXPECT_GT(fleet.chips[0]->simTime().value(), 0.0);

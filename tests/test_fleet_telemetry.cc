@@ -3,9 +3,10 @@
  * Live-telemetry acceptance tests over a managed fleet-recovery
  * scenario (the ISSUE's gates): the availability SLO burn-rate alert
  * fires aligned with a scripted server crash, the flight recorder
- * dump brackets the failure, and the telemetry plane — disabled or
- * fully enabled — never perturbs simulation state (bit-identical
- * chip outcomes).
+ * dump brackets the failure, the telemetry plane — disabled or fully
+ * enabled — never perturbs simulation state (bit-identical chip
+ * outcomes), and the fleet.* series are the same at any stepper
+ * thread count.
  */
 
 #include <gtest/gtest.h>
@@ -105,7 +106,7 @@ runStorm(obs::telemetry::TelemetryHub *hub)
                                                 Volts{0.024}));
 
     for (int64_t t = 0; t < 1000; ++t) {
-        stepper.step(kDt);
+        stepper.run(1, kDt);
         manager.tick(kDt);
     }
     EXPECT_EQ(manager.failures(), 1);
@@ -155,9 +156,13 @@ TEST(FleetTelemetry, AlertAndDumpAlignWithTheCrash)
     // The stream carried sample lines plus the alert/dump records.
     EXPECT_GT(hub.streamLines(), 0u);
 
-    // The sharded series actually accumulated fleet samples.
-    EXPECT_FALSE(hub.merged("fleet.margin").empty());
-    EXPECT_FALSE(hub.merged("recovery.online").empty());
+    // The fleet and recovery series actually accumulated samples, and
+    // an undeclared name has no series.
+    ASSERT_NE(hub.series("fleet.margin"), nullptr);
+    EXPECT_FALSE(hub.series("fleet.margin")->empty());
+    ASSERT_NE(hub.series("recovery.online"), nullptr);
+    EXPECT_FALSE(hub.series("recovery.online")->empty());
+    EXPECT_EQ(hub.series("fleet.no_such_series"), nullptr);
 
     for (const auto &dump : dumps)
         std::remove(dump.path.c_str());
@@ -197,6 +202,71 @@ TEST(FleetTelemetry, TelemetryNeverPerturbsTheSimulation)
 
     for (const auto &dump : enabled.recorder()->dumps())
         std::remove(dump.path.c_str());
+}
+
+/**
+ * Runs 8 chips for 100 ticks, deactivates chip 3, runs 100 more, and
+ * returns the hub that recorded the fleet.* series. Worker threads
+ * only park samples; the control thread records them in slot order.
+ */
+std::unique_ptr<obs::telemetry::TelemetryHub>
+recordFleetSeries(size_t threads)
+{
+    obs::telemetry::TelemetryConfig config;
+    config.enabled = true;
+    auto hub = std::make_unique<obs::telemetry::TelemetryHub>(config);
+
+    std::vector<std::unique_ptr<system::Server>> servers;
+    system::FleetStepperConfig stepperConfig;
+    stepperConfig.shardSize = 2;
+    stepperConfig.threads = threads;
+    system::FleetStepper stepper(stepperConfig);
+    stepper.setTelemetry(hub.get());
+    for (size_t i = 0; i < 4; ++i) {
+        servers.push_back(
+            std::make_unique<system::Server>(serverConfig(i)));
+        for (size_t s = 0; s < servers[i]->socketCount(); ++s) {
+            chip::Chip &chip = servers[i]->chip(s);
+            for (size_t c = 0; c < chip.coreCount(); ++c)
+                chip.setLoad(c, chip::CoreLoad::running(
+                                    0.5 + 0.05 * double(c + i),
+                                    Volts{0.013}, Volts{0.024}));
+        }
+        stepper.addServer(*servers[i]);
+    }
+    stepper.run(100, kDt);
+    stepper.setChipActive(3, false);
+    stepper.run(100, kDt);
+    return hub;
+}
+
+TEST(FleetTelemetry, FleetSeriesMatchAcrossThreadCounts)
+{
+    const auto serial = recordFleetSeries(1);
+    const auto threaded = recordFleetSeries(3);
+    for (const char *name : {"fleet.margin", "fleet.freq_ghz",
+                             "fleet.power_w"}) {
+        SCOPED_TRACE(name);
+        const obs::telemetry::TimeSeriesBuffer *a = serial->series(name);
+        const obs::telemetry::TimeSeriesBuffer *b = threaded->series(name);
+        ASSERT_NE(a, nullptr);
+        ASSERT_NE(b, nullptr);
+        // Two samples per active chip per 100-tick run (one per tick
+        // block): 8 x 2 before the deactivation, 7 x 2 after.
+        EXPECT_EQ(a->recorded(), 30u);
+        EXPECT_EQ(b->recorded(), 30u);
+        ASSERT_EQ(a->firstBucket(), b->firstBucket());
+        ASSERT_EQ(a->lastBucket(), b->lastBucket());
+        for (int64_t k = a->firstBucket(); k <= a->lastBucket(); ++k) {
+            const obs::telemetry::TimeBucket x = a->bucket(k);
+            const obs::telemetry::TimeBucket y = b->bucket(k);
+            EXPECT_EQ(x.count, y.count) << "bucket " << k;
+            EXPECT_EQ(x.sum, y.sum) << "bucket " << k;
+            EXPECT_EQ(x.min, y.min) << "bucket " << k;
+            EXPECT_EQ(x.max, y.max) << "bucket " << k;
+            EXPECT_EQ(x.last, y.last) << "bucket " << k;
+        }
+    }
 }
 
 } // namespace

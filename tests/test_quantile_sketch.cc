@@ -1,8 +1,8 @@
 /**
  * @file
  * QuantileSketch tests: the relative-error bound, the negative/zero
- * paths, merge algebra across shards, and copy semantics (the hot-
- * bucket cache must never follow a copy into the source's buckets).
+ * paths, and copy semantics (the hot-bucket cache must never follow a
+ * copy into the source's buckets).
  */
 
 #include <gtest/gtest.h>
@@ -76,39 +76,6 @@ TEST(QuantileSketch, NegativeAndZeroValues)
     EXPECT_NEAR(sketch.quantile(0.9), 1.0, 0.03);
     EXPECT_DOUBLE_EQ(sketch.min(), -1.0);
     EXPECT_DOUBLE_EQ(sketch.max(), 1.0);
-}
-
-TEST(QuantileSketch, MergeMatchesCombinedStream)
-{
-    QuantileSketch combined;
-    QuantileSketch shardA;
-    QuantileSketch shardB;
-    Rng rng(0x5EEDull);
-    for (int i = 0; i < 5000; ++i) {
-        const double x = rng.uniform(-2.0, 10.0);
-        combined.add(x);
-        (i % 2 == 0 ? shardA : shardB).add(x);
-    }
-    shardA.merge(shardB);
-    EXPECT_EQ(shardA.count(), combined.count());
-    EXPECT_DOUBLE_EQ(shardA.sum(), combined.sum());
-    EXPECT_DOUBLE_EQ(shardA.min(), combined.min());
-    EXPECT_DOUBLE_EQ(shardA.max(), combined.max());
-    for (double q : {0.05, 0.25, 0.5, 0.75, 0.95, 0.99})
-        EXPECT_DOUBLE_EQ(shardA.quantile(q), combined.quantile(q))
-            << "quantile " << q;
-}
-
-TEST(QuantileSketch, MergeEmptyIsIdentity)
-{
-    QuantileSketch sketch;
-    QuantileSketch empty;
-    sketch.add(3.0);
-    sketch.merge(empty);
-    EXPECT_EQ(sketch.count(), 1u);
-    empty.merge(sketch);
-    EXPECT_EQ(empty.count(), 1u);
-    EXPECT_DOUBLE_EQ(empty.min(), 3.0);
 }
 
 TEST(QuantileSketch, CopyIsIndependentOfSource)

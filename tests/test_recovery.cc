@@ -2,7 +2,8 @@
  * @file
  * RecoveryManager tests: watchdog detection, probe backoff and
  * abandonment, hang self-recovery, checkpoint restore, drain-and-
- * migrate, the degradation ladder, and the determinism guarantee —
+ * migrate, the degradation ladder, the one PlacementDecision event per
+ * fleet re-place, and the determinism guarantee —
  * with no failures scheduled, an enabled manager must be bit-identical
  * to a disabled one.
  */
@@ -11,9 +12,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "obs/observability.h"
 #include "recovery/recovery_manager.h"
@@ -61,7 +64,7 @@ struct TestFleet
     {
         const int64_t ticks = int64_t(duration.value() / kDt.value());
         for (int64_t t = 0; t < ticks; ++t) {
-            stepper.step(kDt);
+            stepper.run(1, kDt);
             manager.tick(kDt);
         }
     }
@@ -314,6 +317,70 @@ TEST(RecoveryManager, ReplaceRunsThePlacerOnlyWhereTheCountChanged)
         grown += placed(i) - 8;
     }
     EXPECT_EQ(grown, 1u);
+}
+
+TEST(RecoveryManager, ReplaceEmitsOnePlacementDecisionForTheFleet)
+{
+    obs::resetAll();
+    TestFleet fleet(4, RecoveryPolicy{});
+    fleet.manager.setWorkload(32, workerLoad());
+    const obs::Counter &decisions =
+        obs::registry().counter("placement.health.decisions");
+    const int64_t decisionsBefore = decisions.value();
+
+    // Every server's count changes (8 -> 12 threads each).
+    obs::setTracingEnabled(true);
+    const uint64_t from = obs::trace().recorded();
+    fleet.manager.setWorkload(48, workerLoad());
+    obs::setTracingEnabled(false);
+
+    // The counter still counts per-server assignments; the trace holds
+    // one event for the whole re-place.
+    EXPECT_EQ(decisions.value(), decisionsBefore + 4);
+    std::vector<obs::TraceEvent> placements;
+    for (const obs::TraceEvent &event : obs::trace().eventsSince(from)) {
+        if (event.kind == obs::TraceKind::PlacementDecision)
+            placements.push_back(event);
+    }
+    ASSERT_EQ(placements.size(), 1u);
+    EXPECT_EQ(placements[0].a, 0.0); // growth only: nothing migrates
+    EXPECT_EQ(placements[0].b, 4.0);
+    EXPECT_EQ(placements[0].detail, "reassigned 4");
+}
+
+TEST(RecoveryManager, ReplaceEventNamesServersThatSteerAroundASocket)
+{
+    obs::resetAll();
+    TestFleet fleet(2, RecoveryPolicy{});
+    fleet.manager.setWorkload(8, workerLoad());
+
+    // A chip-scope droop storm with blind CPMs demotes socket 0 of
+    // server 1 (the recipe of test_fleet_stepper.cc).
+    chip::Chip &chip = fleet.servers[1]->chip(0);
+    fault::FaultPlan plan;
+    plan.droopStorm(Seconds{0.0}, Seconds{0.0}, 30.0, 1.8)
+        .cpmDropout(Seconds{0.0}, Seconds{0.0});
+    fault::FaultInjector injector(plan, chip.coreCount());
+    chip.attachFaultInjector(&injector);
+    for (int k = 0; k < 40 && !chip.safetyDemoted(); ++k)
+        fleet.run(Seconds{0.05});
+    ASSERT_TRUE(chip.safetyDemoted());
+
+    obs::setTracingEnabled(true);
+    const uint64_t from = obs::trace().recorded();
+    fleet.manager.setWorkload(12, workerLoad());
+    obs::setTracingEnabled(false);
+
+    std::vector<obs::TraceEvent> placements;
+    for (const obs::TraceEvent &event : obs::trace().eventsSince(from)) {
+        if (event.kind == obs::TraceKind::PlacementDecision)
+            placements.push_back(event);
+    }
+    ASSERT_EQ(placements.size(), 1u);
+    EXPECT_EQ(placements[0].b, 2.0);
+    EXPECT_EQ(placements[0].detail.rfind("reassigned 2; server 1: ", 0), 0u)
+        << placements[0].detail;
+    EXPECT_EQ(placements[0].detail.find("server 0"), std::string::npos);
 }
 
 TEST(RecoveryManager, CorrelatedStormClimbsLadderThenDeescalates)

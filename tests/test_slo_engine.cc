@@ -38,9 +38,7 @@ marginRule()
 SloEngine::SeriesLookup
 lookupFor(const TimeSeriesBuffer &buffer)
 {
-    return [&buffer](const std::string &) {
-        return TimeSeriesBuffer::merge({&buffer});
-    };
+    return [&buffer](const std::string &) { return &buffer; };
 }
 
 TEST(SloRule, ValidateRejectsNonsense)
@@ -147,6 +145,12 @@ TEST(SloEngine, NoDataHoldsState)
 
     TimeSeriesBuffer empty(Seconds{1.0}, 64);
     engine.evaluate(Seconds{10.0}, lookupFor(empty));
+    EXPECT_EQ(engine.activeCount(), 1u);
+
+    // A series name the lookup does not know reads as no data too.
+    engine.evaluate(Seconds{10.0}, [](const std::string &) {
+        return static_cast<const TimeSeriesBuffer *>(nullptr);
+    });
     EXPECT_EQ(engine.activeCount(), 1u);
 }
 

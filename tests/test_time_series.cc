@@ -1,13 +1,10 @@
 /**
  * @file
- * TimeSeriesBuffer tests: bucket aggregation, ring wrap and old-sample
- * drops, and the merge() algebra the sharded telemetry lanes rely on
- * (associative, commutative, empty-tolerant).
+ * TimeSeriesBuffer tests: bucket aggregation, ring wrap, old-sample
+ * drops and clear().
  */
 
 #include <gtest/gtest.h>
-
-#include <vector>
 
 #include "obs/telemetry/time_series.h"
 
@@ -92,8 +89,9 @@ TEST(TimeSeriesBuffer, TimeMayMoveBackwardWithinWindow)
     TimeSeriesBuffer buffer(Seconds{1.0}, 8);
     buffer.record(Seconds{0.5}, 0.0);
     buffer.record(Seconds{5.5}, 1.0);
-    // Shards drift by up to a tick block; writes behind the head but
-    // inside the retained window must land normally.
+    // A chip reactivated after an outage resumes behind the fleet;
+    // writes behind the head but inside the retained window land
+    // normally.
     buffer.record(Seconds{3.5}, 2.0);
     EXPECT_EQ(buffer.bucket(3).count, 1u);
     EXPECT_EQ(buffer.lastBucket(), 5);
@@ -108,66 +106,6 @@ TEST(TimeSeriesBuffer, ClearForgetsEverything)
     buffer.record(Seconds{0.1}, 1.0);
     EXPECT_EQ(buffer.firstBucket(), 0);
     EXPECT_EQ(buffer.bucket(2).count, 0u);
-}
-
-TEST(MergedSeries, LatestSkipsEmptyBuckets)
-{
-    TimeSeriesBuffer buffer(Seconds{1.0}, 8);
-    buffer.record(Seconds{0.5}, 4.0);
-    buffer.record(Seconds{3.5}, 9.0);
-    const MergedSeries merged = TimeSeriesBuffer::merge({&buffer});
-    EXPECT_DOUBLE_EQ(merged.latest(BucketStat::Last), 9.0);
-    EXPECT_DOUBLE_EQ(merged.latest(BucketStat::Mean), 9.0);
-    EXPECT_EQ(merged.firstBucket, 0);
-    EXPECT_EQ(merged.buckets.size(), 4u);
-    EXPECT_DOUBLE_EQ(merged.bucketStart(3).value(), 3.0);
-}
-
-TEST(MergedSeries, MergeFoldsAlignedBuckets)
-{
-    TimeSeriesBuffer a(Seconds{1.0}, 8);
-    TimeSeriesBuffer b(Seconds{1.0}, 8);
-    a.record(Seconds{0.5}, 1.0);
-    a.record(Seconds{1.5}, 3.0);
-    b.record(Seconds{0.6}, 5.0);
-    b.record(Seconds{2.5}, 7.0);
-    const MergedSeries merged = TimeSeriesBuffer::merge({&a, &b});
-    ASSERT_EQ(merged.buckets.size(), 3u);
-    EXPECT_EQ(merged.buckets[0].count, 2u);
-    EXPECT_DOUBLE_EQ(merged.buckets[0].min, 1.0);
-    EXPECT_DOUBLE_EQ(merged.buckets[0].max, 5.0);
-    EXPECT_EQ(merged.buckets[1].count, 1u);
-    EXPECT_EQ(merged.buckets[2].count, 1u);
-}
-
-TEST(MergedSeries, MergeIsCommutativeAndSkipsNullsAndEmpties)
-{
-    TimeSeriesBuffer a(Seconds{0.5}, 16);
-    TimeSeriesBuffer b(Seconds{0.5}, 16);
-    TimeSeriesBuffer empty(Seconds{0.5}, 16);
-    for (int i = 0; i < 10; ++i)
-        a.record(Seconds{0.1 * double(i)}, double(i));
-    for (int i = 0; i < 7; ++i)
-        b.record(Seconds{0.3 * double(i)}, -double(i));
-
-    const MergedSeries ab =
-        TimeSeriesBuffer::merge({&a, &b, nullptr, &empty});
-    const MergedSeries ba = TimeSeriesBuffer::merge({&b, &a});
-    ASSERT_EQ(ab.buckets.size(), ba.buckets.size());
-    EXPECT_EQ(ab.firstBucket, ba.firstBucket);
-    for (size_t k = 0; k < ab.buckets.size(); ++k) {
-        EXPECT_EQ(ab.buckets[k].count, ba.buckets[k].count);
-        EXPECT_DOUBLE_EQ(ab.buckets[k].sum, ba.buckets[k].sum);
-        EXPECT_DOUBLE_EQ(ab.buckets[k].min, ba.buckets[k].min);
-        EXPECT_DOUBLE_EQ(ab.buckets[k].max, ba.buckets[k].max);
-    }
-}
-
-TEST(MergedSeries, MergeOfNothingIsEmpty)
-{
-    const MergedSeries merged = TimeSeriesBuffer::merge({});
-    EXPECT_TRUE(merged.empty());
-    EXPECT_DOUBLE_EQ(merged.latest(BucketStat::Mean), 0.0);
 }
 
 } // namespace

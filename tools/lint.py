@@ -41,10 +41,10 @@ Seven project-specific rules that clang-tidy cannot express:
                     strings — backstopping the registry's runtime
                     series cap with a static guarantee.
 
-  single-writer     Only the owning shard sweep may call
-                    TimeSeriesBuffer::record (via TelemetryHub::record):
-                    the writer set of each telemetry lane is pinned to
-                    the files named in SINGLE_WRITER_RULES, keeping the
+  single-writer     Only the control thread may write a telemetry
+                    series: TelemetryHub::record's callers and the
+                    hub's one TimeSeriesBuffer write are pinned to the
+                    files named in SINGLE_WRITER_RULES, keeping the
                     lock-free rings sound.
 
 Suppressions: a finding on line N (or N+1) is waived by a comment
@@ -128,13 +128,13 @@ METRIC_CALL = re.compile(r"\b(?:counter|gauge|histogram|timer)\s*\(")
 # single-writer contract table: (regex, allowed repo-relative files,
 # human description). Extend when a new single-writer API appears.
 SINGLE_WRITER_RULES = [
-    (re.compile(r"\bbuffers\s*\[[^\]]*\]\s*\.\s*record\s*\("),
+    (re.compile(r"\bbuffer\s*\.\s*record\s*\("),
      ("src/obs/telemetry/telemetry_hub.h",),
-     "TimeSeriesBuffer lane write (buffers[shard].record)"),
+     "TimeSeriesBuffer write (series.buffer.record)"),
     (re.compile(r"\bhub_\s*->\s*record\s*\("),
      ("src/system/fleet_stepper.cc", "src/system/fleet_service.cc",
       "src/recovery/recovery_manager.cc"),
-     "TelemetryHub::record (single-writer telemetry lane)"),
+     "TelemetryHub::record (single-writer telemetry series)"),
 ]
 
 ALL_CHECKS = ("naked-double", "config-validate", "include-guard",
@@ -478,7 +478,7 @@ def check_obs_cardinality(tree, findings):
 
 
 # --------------------------------------------------------------------
-# single-writer: telemetry lane writers are pinned to their owners.
+# single-writer: telemetry series writers are pinned to their owners.
 # --------------------------------------------------------------------
 
 def check_single_writer(tree, findings):
@@ -492,7 +492,7 @@ def check_single_writer(tree, findings):
                 if pattern.search(line):
                     report(tree, findings, "single-writer", path, lineno,
                            f"{what} outside its owner file(s) "
-                           f"{', '.join(owners)}; the lane's "
+                           f"{', '.join(owners)}; the series' "
                            "single-writer contract (AG_SINGLE_WRITER) "
                            "forbids new callers")
 

@@ -1,23 +1,29 @@
 #ifndef FIXTURE_TELEMETRY_HUB_H
 #define FIXTURE_TELEMETRY_HUB_H
 
-// Fixture: the hub header owns the direct lane write, so the
-// buffers[shard].record call below must produce no finding.
+// Fixture: the hub header owns the direct buffer write, so the
+// series.buffer.record call below must produce no finding.
 
 namespace fixture {
 
-struct Lane
+struct Buffer
 {
     void record(double t, double v);
 };
 
+struct Series
+{
+    Buffer buffer;
+};
+
 struct Hub
 {
-    Lane buffers[8];
+    Series series[8];
 
-    void record(int shard, double t, double v)
+    void record(int id, double t, double v)
     {
-        buffers[shard].record(t, v);
+        Series &entry = series[id];
+        entry.buffer.record(t, v);
     }
 };
 
