@@ -4,9 +4,10 @@
  * shard of identical-config (distinct-seed) chips under three regimes:
  *
  *  - scalar: the pre-FleetStepper pattern — a tick-major sweep calling
- *    Chip::step per chip per tick, every chip in its private SoA block;
- *  - exact: FleetStepper shard stepping — chips adopted into one SoA
- *    arena, temporal blocking, bit-identical to scalar;
+ *    Chip::step per chip per tick;
+ *  - exact: FleetStepper shard stepping — temporal blocking, so each
+ *    chip's state stays cache-resident for a block of ticks;
+ *    bit-identical to scalar;
  *  - sampled: FleetStepper with the phase detector and analytic
  *    fast-forward enabled on a steady-state fleet (approximate; bounds
  *    in docs/PERFORMANCE.md).
@@ -142,7 +143,7 @@ main(int argc, char **argv)
     const int64_t fastTicks =
         ticks * std::max<int64_t>(1, params.getInt("fast_scale", 20));
 
-    // Scalar reference: private SoA blocks, tick-major sweep.
+    // Scalar reference: tick-major sweep.
     std::vector<double> scalarRates;
     {
         Fleet fleet = buildFleet(chips);
@@ -152,7 +153,7 @@ main(int argc, char **argv)
             scalarRates.push_back(timeScalar(fleet, ticks, dt));
     }
 
-    // Shard-exact: one arena, temporal blocking. Bit-identical.
+    // Shard-exact: temporal blocking. Bit-identical.
     std::vector<double> exactRates;
     {
         Fleet fleet = buildFleet(chips);

@@ -51,16 +51,11 @@ Chip::Chip(const ChipConfig &config, pdn::Vrm *vrm)
     for (size_t i = 0; i < config_.coreCount; ++i)
         dplls_.emplace_back(&curve_, config_.dpll, config_.targetFrequency);
 
-    // A standalone chip owns a private single-slot SoA block; a fleet
-    // arena can adopt the state later (migrateState()).
-    soa_ = std::make_shared<ChipStateSoA>(config_.coreCount);
-    slot_ = soa_->addSlot();
     const Volts v0 = curve_.vddStatic(config_.targetFrequency);
-    for (size_t i = 0; i < config_.coreCount; ++i) {
-        laneVoltage()[i] = v0;
-        laneCtrlVoltage()[i] = v0;
-        laneFrequency()[i] = config_.targetFrequency;
-    }
+    state_.coreVoltage.assign(config_.coreCount, v0);
+    state_.coreCtrlVoltage.assign(config_.coreCount, v0);
+    state_.coreCurrent.assign(config_.coreCount, Amps{});
+    state_.droopStall.assign(config_.coreCount, Seconds{});
 
     loads_.assign(config_.coreCount, CoreLoad::idle());
     decomposition_.assign(config_.coreCount, pdn::DropDecomposition());
@@ -100,21 +95,6 @@ Chip::registerMetrics()
 }
 
 void
-Chip::migrateState(std::shared_ptr<ChipStateSoA> block, size_t slot)
-{
-    fatalIf(block == nullptr, "cannot migrate to a null SoA block");
-    fatalIf(block->coreCount() != config_.coreCount,
-            "SoA block core count does not match the chip");
-    fatalIf(slot >= block->chipCount(),
-            "SoA migration target slot does not exist");
-    if (block.get() == soa_.get() && slot == slot_)
-        return;
-    block->copySlotFrom(*soa_, slot_, slot);
-    soa_ = std::move(block);
-    slot_ = slot;
-}
-
-void
 Chip::setLoad(size_t core, const CoreLoad &load)
 {
     panicIf(core >= config_.coreCount, "core index out of range");
@@ -147,7 +127,7 @@ Chip::setMode(GuardbandMode mode)
     applyMode(mode);
     demotedFrom_ = mode;
     safety_.reset();
-    soa_->latchedDroopDepth[slot_] = Volts{0.0};
+    state_.latchedDroopDepth = Volts{0.0};
 }
 
 void
@@ -166,9 +146,9 @@ Chip::applyMode(GuardbandMode mode)
     }
     config_.mode = mode;
     const Hertz target = config_.targetFrequency;
-    soa_->staticSetpoint[slot_] = curve_.vddStatic(target);
-    vrm_->setSetpoint(config_.railIndex, soa_->staticSetpoint[slot_]);
-    soa_->sinceFirmware[slot_] = Seconds{};
+    state_.staticSetpoint = curve_.vddStatic(target);
+    vrm_->setSetpoint(config_.railIndex, state_.staticSetpoint);
+    state_.sinceFirmware = Seconds{};
     for (auto &dpll : dplls_) {
         dpll.lockTo(target);
         dpll.setCap(mode == GuardbandMode::AdaptiveUndervolt ? target
@@ -207,7 +187,7 @@ Chip::staticSetpoint() const
 {
     // Cached at setMode()/setTargetFrequency(); the firmware reads this
     // every decision, so it must not recompute the curve each call.
-    return soa_->staticSetpoint[slot_];
+    return state_.staticSetpoint;
 }
 
 Volts
@@ -221,9 +201,9 @@ Chip::solveElectrical()
 {
     const size_t n = config_.coreCount;
     const Celsius temp = thermal_.temperature();
-    Volts *const cv = laneVoltage();
-    Amps *const cc = laneCurrent();
-    Amps &railCurrent = soa_->railCurrent[slot_];
+    Volts *const cv = state_.coreVoltage.data();
+    Amps *const cc = state_.coreCurrent.data();
+    Amps &railCurrent = state_.railCurrent;
     Volts railVoltage = vrm_->outputAt(config_.railIndex, railCurrent);
 
     for (int iter = 0; iter < config_.fixedPointIterations; ++iter) {
@@ -253,7 +233,7 @@ Chip::solveElectrical()
         // iteration (the voltage update below and the dissipation sum
         // consume the same values); the global component is shared by
         // all cores.
-        irModel_.localDropInto(coreCurrentSpan(), scratchLocalDrop_);
+        irModel_.localDropInto(state_.coreCurrent, scratchLocalDrop_);
         const Volts globalDrop = irModel_.globalDrop(railCurrent);
         const Volts vAfterGlobal = railVoltage - globalDrop;
         for (size_t i = 0; i < n; ++i)
@@ -270,7 +250,7 @@ Chip::solveElectrical()
         dissipation += globalDrop * railCurrent;
         for (size_t i = 0; i < n; ++i)
             dissipation += scratchLocalDrop_[i] * cc[i];
-        soa_->chipPower[slot_] = total + dissipation;
+        state_.chipPower = total + dissipation;
 
         // The V<->P fixed point usually converges in 1-2 iterations in
         // steady state: stop once the rail voltage has stopped moving.
@@ -294,7 +274,7 @@ Chip::runFirmware()
     Hertz achievable = curve_.params().refFrequency *
                        curve_.params().overclockCeiling;
     bool anyOn = false;
-    const Volts *const ctrl = laneCtrlVoltage();
+    const Volts *const ctrl = state_.coreCtrlVoltage.data();
     for (size_t i = 0; i < config_.coreCount; ++i) {
         if (loads_[i].gated)
             continue;
@@ -356,7 +336,7 @@ Chip::stepSensePhase(Seconds dt)
         }
     }
 
-    thermal_.step(soa_->chipPower[slot_], dt);
+    thermal_.step(state_.chipPower, dt);
     {
         obs::ScopedTimer timer(obsSolverTimer_);
         solveElectrical();
@@ -378,17 +358,17 @@ Chip::stepSensePhase(Seconds dt)
     pendingWorstCharacteristic_ = didt_.worstDepth(scratchWorstAmps_);
     if (pendingNoise_.droopEvents > 0) {
         droopHistogram_.add(pendingNoise_.worstDroop.value());
-        if (pendingNoise_.worstDroop > soa_->latchedDroopDepth[slot_])
-            soa_->latchedDroopDepth[slot_] = pendingNoise_.worstDroop;
+        if (pendingNoise_.worstDroop > state_.latchedDroopDepth)
+            state_.latchedDroopDepth = pendingNoise_.worstDroop;
     }
 
     // Vcs (storage) rail: a lightly activity-dependent constant load,
     // reported separately from the Vdd metric the paper uses.
     const double activeFraction = double(activeCoreCount()) /
                                   double(config_.coreCount);
-    soa_->vcsPower[slot_] = config_.vcs.powerAtRef *
-                            (1.0 - config_.vcs.activityShare +
-                             config_.vcs.activityShare * activeFraction);
+    state_.vcsPower = config_.vcs.powerAtRef *
+                      (1.0 - config_.vcs.activityShare +
+                       config_.vcs.activityShare * activeFraction);
 }
 
 void
@@ -396,11 +376,10 @@ Chip::stepControlPhase(Seconds dt)
 {
     const size_t n = config_.coreCount;
     const pdn::DidtSample &noise = pendingNoise_;
-    Volts *const cv = laneVoltage();
-    Volts *const ctrl = laneCtrlVoltage();
-    Hertz *const freq = laneFrequency();
-    Seconds *const stall = laneDroopStall();
-    const Amps railCurrent = soa_->railCurrent[slot_];
+    Volts *const cv = state_.coreVoltage.data();
+    Volts *const ctrl = state_.coreCtrlVoltage.data();
+    Seconds *const stall = state_.droopStall.data();
+    const Amps railCurrent = state_.railCurrent;
     const Volts railVoltage = vrm_->outputAt(config_.railIndex,
                                              railCurrent);
     // Loop-invariant drop components; the per-core local drops are the
@@ -424,7 +403,6 @@ Chip::stepControlPhase(Seconds dt)
             obs.stickyCpm[i] = config_.cpm.positions - 1;
             obs.coreVoltage[i] = railVoltage;
             obs.coreFrequency[i] = Hertz{};
-            freq[i] = Hertz{};
             decomposition_[i] = pdn::DropDecomposition();
             decomposition_[i].loadline = loadlineDrop;
             decomposition_[i].irGlobal = globalDrop;
@@ -461,7 +439,6 @@ Chip::stepControlPhase(Seconds dt)
                                : cpms_.bank(i).minRead(vSticky, f);
         obs.coreVoltage[i] = cv[i];
         obs.coreFrequency[i] = f;
-        freq[i] = f;
 
         decomposition_[i].loadline = loadlineDrop;
         decomposition_[i].irGlobal = globalDrop;
@@ -500,20 +477,20 @@ Chip::stepCommitPhase(Seconds dt)
     runSafetyMonitor(pendingNoise_, pendingWorstCharacteristic_, dt);
 
     sensors::StepObservation &obs = scratchObs_;
-    obs.chipPower = soa_->chipPower[slot_];
-    obs.railCurrent = soa_->railCurrent[slot_];
+    obs.chipPower = state_.chipPower;
+    obs.railCurrent = state_.railCurrent;
     obs.setpoint = setpoint();
     obs.decomposition = decomposition_[0];
     obs.timingEmergencies = lastEmergencies_;
     obs.safetyDemotions = lastDemotions_;
     obs.safetyRearms = lastRearms_;
-    obs.worstMargin = soa_->lastWorstMargin[slot_];
+    obs.worstMargin = state_.lastWorstMargin;
     {
         obs::ScopedTimer timer(obsTelemetryTimer_);
         telemetry_.step(obs, dt);
     }
 
-    Seconds &sinceFirmware = soa_->sinceFirmware[slot_];
+    Seconds &sinceFirmware = state_.sinceFirmware;
     sinceFirmware += dt;
     if (sinceFirmware >= config_.firmwareInterval - Seconds{1e-12}) {
         firmwareTick();
@@ -530,7 +507,7 @@ Chip::stepCommitPhase(Seconds dt)
 
     // Events inside this step were stamped with its start time; the
     // clock advances last.
-    soa_->simNow[slot_] += dt;
+    state_.simNow += dt;
 }
 
 void
@@ -585,7 +562,7 @@ Chip::fastForward(int64_t maxTicks, Seconds dt)
         // Consume ticks up to (and including) the next firmware
         // boundary, so every firmware decision still happens at its
         // exact due time against the held sensor view.
-        Seconds &sinceFirmware = soa_->sinceFirmware[slot_];
+        Seconds &sinceFirmware = state_.sinceFirmware;
         const double toBoundary =
             (interval - Seconds{1e-12} - sinceFirmware).value() /
             dt.value();
@@ -603,7 +580,7 @@ Chip::fastForward(int64_t maxTicks, Seconds dt)
 
         // The thermal RC step composes exponentially, so one span-long
         // step is exactly k dt-long steps at the held power.
-        thermal_.step(soa_->chipPower[slot_], span);
+        thermal_.step(state_.chipPower, span);
 
         // Aggregate di/dt over the span: the arrival process is
         // Poisson, so one draw with rate*span replaces k per-tick
@@ -621,8 +598,8 @@ Chip::fastForward(int64_t maxTicks, Seconds dt)
         const Volts envelope = didt_.worstDepth(scratchWorstAmps_);
         if (noise.droopEvents > 0) {
             droopHistogram_.add(noise.worstDroop.value());
-            if (noise.worstDroop > soa_->latchedDroopDepth[slot_])
-                soa_->latchedDroopDepth[slot_] = noise.worstDroop;
+            if (noise.worstDroop > state_.latchedDroopDepth)
+                state_.latchedDroopDepth = noise.worstDroop;
         }
 
         // Analytic margin over the span: the per-tick ripple jitter is
@@ -630,7 +607,7 @@ Chip::fastForward(int64_t maxTicks, Seconds dt)
         // the characterized envelope whenever the span saw a droop
         // (matching the window-minimum semantics the exact path feeds
         // telemetry), protected cores against the mean ripple.
-        const Volts *const cv = laneVoltage();
+        const Volts *const cv = state_.coreVoltage.data();
         const Volts envelopeDroop =
             noise.droopEvents > 0 ? envelope : Volts{};
         int emergencies = 0;
@@ -653,7 +630,7 @@ Chip::fastForward(int64_t maxTicks, Seconds dt)
                 ++emergencies;
         }
         lastEmergencies_ = emergencies;
-        soa_->lastWorstMargin[slot_] = worst;
+        state_.lastWorstMargin = worst;
         lastDemotions_ = 0;
         lastRearms_ = 0;
         if (emergencies > 0)
@@ -669,8 +646,8 @@ Chip::fastForward(int64_t maxTicks, Seconds dt)
         // the same windows the exact path would have filled (window
         // closes are span-aware).
         sensors::StepObservation &obs = scratchObs_;
-        obs.chipPower = soa_->chipPower[slot_];
-        obs.railCurrent = soa_->railCurrent[slot_];
+        obs.chipPower = state_.chipPower;
+        obs.railCurrent = state_.railCurrent;
         obs.setpoint = setpoint();
         obs.decomposition = decomposition_[0];
         obs.timingEmergencies = lastEmergencies_;
@@ -693,7 +670,7 @@ Chip::fastForward(int64_t maxTicks, Seconds dt)
             setpointMoved = setpoint() != before;
         }
 
-        soa_->simNow[slot_] += span;
+        state_.simNow += span;
         consumed += k;
 
         // A moved setpoint or a safety action invalidates the held
@@ -755,9 +732,9 @@ Chip::runSafetyMonitor(const pdn::DidtSample &noise,
     // envelope, and the sampler's synthetic heavy tail above it would
     // otherwise flag a healthy chip at full load. Margin violations
     // from undervolting below vmin (lying CPMs, DAC under-delivery)
-    // enter through the voltage lanes and are unaffected by this
+    // enter through the core voltages and are unaffected by this
     // choice.
-    const Volts *const cv = laneVoltage();
+    const Volts *const cv = state_.coreVoltage.data();
     int emergencies = 0;
     Volts worst = curve_.params().staticGuardband;
     bool anyCore = false;
@@ -783,7 +760,7 @@ Chip::runSafetyMonitor(const pdn::DidtSample &noise,
             ++emergencies;
     }
     lastEmergencies_ = emergencies;
-    soa_->lastWorstMargin[slot_] = worst;
+    state_.lastWorstMargin = worst;
     lastDemotions_ = 0;
     lastRearms_ = 0;
     if (emergencies > 0)
@@ -842,7 +819,7 @@ Chip::healthView() const
     view.rearms = safety_.rearmCount();
     view.emergencies = safety_.totalEmergencies();
     view.rearmBudget = safety_.rearmBudget();
-    view.latchedDroopDepth = soa_->latchedDroopDepth[slot_];
+    view.latchedDroopDepth = state_.latchedDroopDepth;
     return view;
 }
 
@@ -868,7 +845,7 @@ Volts
 Chip::coreVoltage(size_t core) const
 {
     panicIf(core >= config_.coreCount, "core index out of range");
-    return laneVoltage()[core];
+    return state_.coreVoltage[core];
 }
 
 Hertz
@@ -911,7 +888,7 @@ Seconds
 Chip::droopStall(size_t core) const
 {
     panicIf(core >= config_.coreCount, "core index out of range");
-    return laneDroopStall()[core];
+    return state_.droopStall[core];
 }
 
 void

@@ -15,25 +15,22 @@
  * The chip does not know about workloads or schedulers — the system layer
  * assigns CoreLoads before each step.
  *
- * Fleet stepping: the per-tick hot state (power accumulators, firmware
- * cadence, margins, IR-drop solver lanes, DPLL frequency lane) lives in
- * a ChipStateSoA block the chip merely views (see chip_state_soa.h). A
- * standalone chip owns a private single-slot block; system::FleetStepper
- * migrates whole shards into one contiguous arena and sweeps them with
- * the phase methods below. step() remains the canonical single-chip
- * entry point and is bit-identical regardless of where the state lives.
+ * Hot state: the values every tick touches (power accumulators,
+ * firmware cadence, margins, the electrical solver's per-core vectors)
+ * live in one ChipState the chip owns by value (chip/chip_state.h); a
+ * checkpoint copies it whole. system::FleetStepper sweeps chips with
+ * step() and fastForward(); the phase methods below are step() split in
+ * three for per-phase timing.
  */
 
 #ifndef AGSIM_CHIP_CHIP_H
 #define AGSIM_CHIP_CHIP_H
 
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "chip/chip_config.h"
 #include "chip/chip_health.h"
-#include "chip/chip_state_soa.h"
+#include "chip/chip_state.h"
 #include "chip/core_load.h"
 #include "chip/safety_monitor.h"
 #include "clock/dpll.h"
@@ -131,10 +128,7 @@ class Chip
     int lastStepEmergencies() const { return lastEmergencies_; }
 
     /** Worst true timing margin across non-gated cores, last step. */
-    Volts lastWorstMargin() const
-    {
-        return soa_->lastWorstMargin[slot_];
-    }
+    Volts lastWorstMargin() const { return state_.lastWorstMargin; }
 
     /** Firmware decisions suppressed by injected stalls. */
     int64_t missedFirmwareTicks() const { return missedFirmwareTicks_; }
@@ -155,10 +149,7 @@ class Chip
      * Deepest worst-case droop seen since the last operator mode
      * command (sticky maximum, reset by setMode()).
      */
-    Volts latchedDroopDepth() const
-    {
-        return soa_->latchedDroopDepth[slot_];
-    }
+    Volts latchedDroopDepth() const { return state_.latchedDroopDepth; }
 
     /**
      * Snapshot of this chip's safety telemetry for schedulers — the
@@ -174,13 +165,12 @@ class Chip
     /** Advance the chip by dt. */
     void step(Seconds dt);
 
-    /** @name Phase stepping (system::Server::step sweeps)
+    /** @name Phase stepping
      *
-     * step() decomposes into three phases so a server can run the same
-     * phase across its sockets back-to-back (sense → control → commit
-     * share code paths and model tables across the sockets).
-     * Calling the three phases in order with the same dt is exactly
-     * step(); any other interleaving per chip is undefined.
+     * step() is these three phases in order. They are public so a
+     * profiler can time each phase on its own. Calling the three in
+     * order with the same dt is exactly step(); any other interleaving
+     * per chip is undefined.
      */
     /// @{
 
@@ -228,19 +218,6 @@ class Chip
     uint64_t stateEpoch() const { return stateEpoch_; }
 
     /**
-     * Repoint this chip's hot state into `block` at `slot` (copying
-     * current values). The slot must already exist and belong to this
-     * chip alone. Must not be called between phases of one step.
-     */
-    void migrateState(std::shared_ptr<ChipStateSoA> block, size_t slot);
-
-    /** The SoA block currently backing this chip's hot state. */
-    const ChipStateSoA &stateBlock() const { return *soa_; }
-
-    /** This chip's slot in stateBlock(). */
-    size_t stateSlot() const { return slot_; }
-
-    /**
      * Run steps until the firmware and thermal state settle (used to
      * warm up before measuring; undervolting needs ~20 firmware
      * intervals to walk the guardband down).
@@ -250,7 +227,7 @@ class Chip
     /** @name Checkpoint / restore (see chip/chip_checkpoint.h)
      *
      * A checkpoint captures everything a restarted server needs to
-     * resume this chip deterministically: the SoA hot-state slot,
+     * resume this chip deterministically: the ChipState hot state,
      * loads, drop decomposition, component state (thermal node, di/dt
      * RNG stream, DPLLs, safety monitor, in-progress telemetry, VRM
      * rail), firmware counters, and the fault-injector clock. A
@@ -282,13 +259,13 @@ class Chip
     size_t coreCount() const { return config_.coreCount; }
 
     /** Chip Vdd-rail power from the last step (the paper's metric). */
-    Watts power() const { return soa_->chipPower[slot_]; }
+    Watts power() const { return state_.chipPower; }
 
     /** Vcs (storage) rail power from the last step. */
-    Watts vcsPower() const { return soa_->vcsPower[slot_]; }
+    Watts vcsPower() const { return state_.vcsPower; }
 
     /** Rail current from the last step. */
-    Amps railCurrent() const { return soa_->railCurrent[slot_]; }
+    Amps railCurrent() const { return state_.railCurrent; }
 
     /** VRM setpoint currently programmed for this chip's rail. */
     Volts setpoint() const;
@@ -322,7 +299,7 @@ class Chip
      * this chip's trace events). Pure bookkeeping: nothing in the
      * model reads it back.
      */
-    Seconds simTime() const { return soa_->simNow[slot_]; }
+    Seconds simTime() const { return state_.simNow; }
 
     /**
      * Time accumulated toward the next firmware decision. Stays within
@@ -330,7 +307,7 @@ class Chip
      * interval is carried, not discarded, so the firmware cadence stays
      * exact for any dt.
      */
-    Seconds sinceFirmware() const { return soa_->sinceFirmware[slot_]; }
+    Seconds sinceFirmware() const { return state_.sinceFirmware; }
 
     /** Per-step stall time from worst-case droop responses (core). */
     Seconds droopStall(size_t core) const;
@@ -365,7 +342,7 @@ class Chip
     /// @}
 
   private:
-    /** Solve the V<->P fixed point; fills the per-core state lanes. */
+    /** Solve the V<->P fixed point; fills the per-core state vectors. */
     void solveElectrical();
 
     /** Run one firmware decision (undervolt mode). */
@@ -399,50 +376,6 @@ class Chip
     /** Fill the step's di/dt amplitude scratch from the loads. */
     void fillDidtAmps(double droopDepthScale);
 
-    /** @name Hot-state lane access (SoA view helpers) */
-    /// @{
-    Volts *laneVoltage()
-    {
-        return soa_->coreVoltage.data() + slot_ * config_.coreCount;
-    }
-    const Volts *laneVoltage() const
-    {
-        return soa_->coreVoltage.data() + slot_ * config_.coreCount;
-    }
-    Volts *laneCtrlVoltage()
-    {
-        return soa_->coreCtrlVoltage.data() + slot_ * config_.coreCount;
-    }
-    const Volts *laneCtrlVoltage() const
-    {
-        return soa_->coreCtrlVoltage.data() + slot_ * config_.coreCount;
-    }
-    Amps *laneCurrent()
-    {
-        return soa_->coreCurrent.data() + slot_ * config_.coreCount;
-    }
-    const Amps *laneCurrent() const
-    {
-        return soa_->coreCurrent.data() + slot_ * config_.coreCount;
-    }
-    Hertz *laneFrequency()
-    {
-        return soa_->coreFrequency.data() + slot_ * config_.coreCount;
-    }
-    Seconds *laneDroopStall()
-    {
-        return soa_->droopStall.data() + slot_ * config_.coreCount;
-    }
-    const Seconds *laneDroopStall() const
-    {
-        return soa_->droopStall.data() + slot_ * config_.coreCount;
-    }
-    std::span<const Amps> coreCurrentSpan() const
-    {
-        return {laneCurrent(), config_.coreCount};
-    }
-    /// @}
-
     ChipConfig config_;
     pdn::Vrm *vrm_;
 
@@ -459,11 +392,8 @@ class Chip
     std::vector<CoreLoad> loads_;
     std::vector<pdn::DropDecomposition> decomposition_;
 
-    // Hot per-tick state, hoisted into an SoA block (see file comment).
-    // Standalone chips own a private single-slot block; fleet-adopted
-    // chips view a shared arena.
-    std::shared_ptr<ChipStateSoA> soa_;
-    size_t slot_ = 0;
+    // Hot per-tick state (see file comment).
+    ChipState state_;
 
     // Preallocated scratch reused every step() so the steady-state hot
     // path performs no heap allocations.

@@ -24,21 +24,7 @@ Chip::checkpoint() const
     cp.commandedMode = demotedFrom_;
     cp.targetFrequency = config_.targetFrequency;
 
-    cp.chipPower = soa_->chipPower[slot_];
-    cp.vcsPower = soa_->vcsPower[slot_];
-    cp.railCurrent = soa_->railCurrent[slot_];
-    cp.sinceFirmware = soa_->sinceFirmware[slot_];
-    cp.simNow = soa_->simNow[slot_];
-    cp.staticSetpoint = soa_->staticSetpoint[slot_];
-    cp.lastWorstMargin = soa_->lastWorstMargin[slot_];
-    cp.latchedDroopDepth = soa_->latchedDroopDepth[slot_];
-
-    cp.coreVoltage.assign(laneVoltage(), laneVoltage() + n);
-    cp.coreCtrlVoltage.assign(laneCtrlVoltage(), laneCtrlVoltage() + n);
-    cp.coreCurrent.assign(laneCurrent(), laneCurrent() + n);
-    cp.coreFrequency.assign(soa_->coreFrequency.data() + slot_ * n,
-                            soa_->coreFrequency.data() + slot_ * n + n);
-    cp.droopStall.assign(laneDroopStall(), laneDroopStall() + n);
+    cp.state = state_;
 
     cp.loads = loads_;
     cp.decomposition = decomposition_;
@@ -76,12 +62,13 @@ Chip::restoreCheckpoint(const ChipCheckpoint &cp)
     fatalIf(cp.seed != config_.seed,
             "chip checkpoint seed does not match this chip (a restored "
             "chip must replay the same stochastic streams)");
-    fatalIf(cp.coreVoltage.size() != n || cp.coreCtrlVoltage.size() != n ||
-                cp.coreCurrent.size() != n || cp.coreFrequency.size() != n ||
-                cp.droopStall.size() != n || cp.loads.size() != n ||
+    fatalIf(cp.state.coreVoltage.size() != n ||
+                cp.state.coreCtrlVoltage.size() != n ||
+                cp.state.coreCurrent.size() != n ||
+                cp.state.droopStall.size() != n || cp.loads.size() != n ||
                 cp.decomposition.size() != n || cp.dpllFrequency.size() != n ||
                 cp.dpllCap.size() != n,
-            "chip checkpoint lane sizes do not match the core count");
+            "chip checkpoint per-core sizes do not match the core count");
 
     // Mode/target state is restored directly rather than through
     // setMode()/applyMode(): those reprogram the VRM and reset the
@@ -91,23 +78,7 @@ Chip::restoreCheckpoint(const ChipCheckpoint &cp)
     demotedFrom_ = cp.commandedMode;
     config_.targetFrequency = cp.targetFrequency;
 
-    soa_->chipPower[slot_] = cp.chipPower;
-    soa_->vcsPower[slot_] = cp.vcsPower;
-    soa_->railCurrent[slot_] = cp.railCurrent;
-    soa_->sinceFirmware[slot_] = cp.sinceFirmware;
-    soa_->simNow[slot_] = cp.simNow;
-    soa_->staticSetpoint[slot_] = cp.staticSetpoint;
-    soa_->lastWorstMargin[slot_] = cp.lastWorstMargin;
-    soa_->latchedDroopDepth[slot_] = cp.latchedDroopDepth;
-
-    for (size_t i = 0; i < n; ++i) {
-        laneVoltage()[i] = cp.coreVoltage[i];
-        laneCtrlVoltage()[i] = cp.coreCtrlVoltage[i];
-        laneCurrent()[i] = cp.coreCurrent[i];
-        laneFrequency()[i] = cp.coreFrequency[i];
-        laneDroopStall()[i] = cp.droopStall[i];
-    }
-
+    state_ = cp.state;
     loads_ = cp.loads;
     decomposition_ = cp.decomposition;
 

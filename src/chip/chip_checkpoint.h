@@ -6,7 +6,7 @@
  * periodic checkpoints instead of from cold, so a restored chip must
  * continue *bit-identically* to the chip that was checkpointed. That
  * forces the snapshot to capture every piece of state the step path
- * reads: the ChipStateSoA hot-state slot, per-core loads and drop
+ * reads: the chip's ChipState (copied whole), per-core loads and drop
  * decomposition (Chip::fastForward re-reads the last solved
  * decomposition), the thermal node, the di/dt RNG stream (including a
  * cached Box-Muller draw), per-core DPLL frequency/cap, the safety-
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "chip/chip_config.h"
+#include "chip/chip_state.h"
 #include "chip/core_load.h"
 #include "chip/safety_monitor.h"
 #include "common/rng.h"
@@ -56,26 +57,8 @@ struct ChipCheckpoint
     Hertz targetFrequency = Hertz{0.0};
     /// @}
 
-    /** @name ChipStateSoA scalar lanes */
-    /// @{
-    Watts chipPower = Watts{0.0};
-    Watts vcsPower = Watts{0.0};
-    Amps railCurrent = Amps{0.0};
-    Seconds sinceFirmware = Seconds{0.0};
-    Seconds simNow = Seconds{0.0};
-    Volts staticSetpoint = Volts{0.0};
-    Volts lastWorstMargin = Volts{0.0};
-    Volts latchedDroopDepth = Volts{0.0};
-    /// @}
-
-    /** @name ChipStateSoA per-core lanes (coreCount entries each) */
-    /// @{
-    std::vector<Volts> coreVoltage;
-    std::vector<Volts> coreCtrlVoltage;
-    std::vector<Amps> coreCurrent;
-    std::vector<Hertz> coreFrequency;
-    std::vector<Seconds> droopStall;
-    /// @}
+    /** The chip's hot per-tick state (see chip/chip_state.h). */
+    ChipState state;
 
     /** @name Scheduler-visible and solver state */
     /// @{

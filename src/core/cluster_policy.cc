@@ -21,47 +21,6 @@ clusterStrategyName(ClusterStrategy strategy)
     return "?";
 }
 
-bool
-serverHealthy(const ClusterSpec &spec, size_t server)
-{
-    if (!spec.healthAware || server >= spec.serverHealth.size())
-        return true;
-    for (const chip::ChipHealthView &view : spec.serverHealth[server]) {
-        if (!view.healthy())
-            return false;
-        if (spec.healthParams.droopDepthCeiling > Volts{0.0} &&
-            view.latchedDroopDepth > spec.healthParams.droopDepthCeiling)
-            return false;
-    }
-    return true;
-}
-
-namespace {
-
-/**
- * Server fill order: healthy servers first (ascending index within
- * each class) so demoted servers only power on once the healthy pool
- * is exhausted — the cluster-level analogue of discounting a demoted
- * socket's headroom.
- */
-std::vector<size_t>
-serverFillOrder(const ClusterSpec &spec)
-{
-    std::vector<size_t> order;
-    order.reserve(spec.serverCount);
-    for (size_t s = 0; s < spec.serverCount; ++s) {
-        if (serverHealthy(spec, s))
-            order.push_back(s);
-    }
-    for (size_t s = 0; s < spec.serverCount; ++s) {
-        if (!serverHealthy(spec, s))
-            order.push_back(s);
-    }
-    return order;
-}
-
-} // namespace
-
 std::vector<size_t>
 serverLoads(const ClusterSpec &spec, size_t threads,
             ClusterStrategy strategy)
@@ -71,46 +30,16 @@ serverLoads(const ClusterSpec &spec, size_t threads,
     fatalIf(threads > perServerCap * spec.serverCount,
             "cluster cannot host the requested threads");
 
-    const std::vector<size_t> order = serverFillOrder(spec);
     if (strategy == ClusterStrategy::SpreadServersBorrowSockets) {
-        // Round-robin across the healthy servers; spill to unhealthy
-        // ones only when the healthy pool is out of powered cores.
-        size_t healthyCount = 0;
-        for (size_t s = 0; s < spec.serverCount; ++s) {
-            if (serverHealthy(spec, s))
-                ++healthyCount;
-        }
-        const size_t pool = healthyCount > 0 ? healthyCount
-                                             : spec.serverCount;
-        size_t placed = 0;
-        size_t cursor = 0;
-        while (placed < threads) {
-            const size_t server = order[cursor % pool];
-            if (loads[server] < perServerCap) {
-                ++loads[server];
-                ++placed;
-            } else if (pool < spec.serverCount) {
-                // Healthy pool is full: spill one thread into the
-                // first unhealthy server with room.
-                bool spilled = false;
-                for (size_t i = pool; i < spec.serverCount; ++i) {
-                    if (loads[order[i]] < perServerCap) {
-                        ++loads[order[i]];
-                        ++placed;
-                        spilled = true;
-                        break;
-                    }
-                }
-                panicIf(!spilled, "cluster spill found no room");
-            }
-            ++cursor;
-        }
+        // Round-robin never overfills a server: the capacity check
+        // above bounds every share by the budget.
+        for (size_t t = 0; t < threads; ++t)
+            ++loads[t % spec.serverCount];
     } else {
         size_t remaining = threads;
-        for (size_t i = 0; i < spec.serverCount && remaining > 0; ++i) {
-            const size_t server = order[i];
-            loads[server] = std::min(perServerCap, remaining);
-            remaining -= loads[server];
+        for (size_t s = 0; s < spec.serverCount && remaining > 0; ++s) {
+            loads[s] = std::min(perServerCap, remaining);
+            remaining -= loads[s];
         }
     }
     return loads;

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "core/placement.h"
 #include "system/server.h"
 #include "workload/profile.h"
 
@@ -64,32 +63,13 @@ struct ClusterSpec
     Watts platformPowerPerServer = Watts{120.0};
     /** Server/socket/chip configuration. */
     system::ServerConfig serverConfig;
-    /**
-     * Last-known safety telemetry per server (outer index = server,
-     * inner = socket), typically captured from a previous quantum's
-     * BatchResult::finalHealth. Empty = assume every server healthy.
-     */
-    std::vector<std::vector<chip::ChipHealthView>> serverHealth;
-    /** Steer load toward healthy servers using serverHealth. */
-    bool healthAware = false;
-    /** Trust thresholds shared with the socket-level placer. */
-    HealthAwareParams healthParams;
 };
 
 /**
- * Whether a server's telemetry says it still deserves adaptive
- * headroom: every socket Monitoring in its commanded mode and below
- * the droop ceiling. Servers with no recorded telemetry are healthy.
- */
-bool serverHealthy(const ClusterSpec &spec, size_t server);
-
-/**
  * Threads assigned to each server under a strategy (the cluster
- * scheduler's dry-run): consolidation fills healthy servers first and
- * spills onto unhealthy ones only when the healthy pool is full;
- * spreading round-robins over the healthy pool. With healthAware off
- * (or no telemetry) every server counts as healthy and this reduces to
- * the plain Sec. 5.1.1 policy.
+ * scheduler's dry-run, the plain Sec. 5.1.1 policy): consolidation
+ * fills the lowest-indexed servers to the per-server budget, spreading
+ * round-robins over every server.
  */
 std::vector<size_t> serverLoads(const ClusterSpec &spec, size_t threads,
                                 ClusterStrategy strategy);

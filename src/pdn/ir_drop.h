@@ -63,8 +63,7 @@ class IrDropModel
     /**
      * Local component seen by `core` given every core's own current,
      * including cross-coupling from the other cores' local drops.
-     * Accepts any contiguous view (vector or SoA lane) of coreCount
-     * currents.
+     * Accepts any contiguous view of coreCount currents.
      */
     Volts localDrop(size_t core, std::span<const Amps> coreCurrents) const;
 

@@ -10,6 +10,26 @@
 
 namespace agsim::system {
 
+namespace {
+
+/** Mean frequency (Hz) over the chip's clocked cores; 0 if none. */
+double
+meanClockedFrequency(const chip::Chip &c)
+{
+    double sum = 0.0;
+    size_t clocked = 0;
+    for (size_t i = 0; i < c.coreCount(); ++i) {
+        const double f = c.coreFrequency(i).value();
+        if (f > 0.0) {
+            sum += f;
+            ++clocked;
+        }
+    }
+    return clocked > 0 ? sum / double(clocked) : 0.0;
+}
+
+} // namespace
+
 FleetStepper::FleetStepper(const FleetStepperConfig &config)
     : config_(config)
 {
@@ -103,19 +123,6 @@ FleetStepper::freeze()
         tsFreq_ = hub_->declareSeries("fleet.freq_ghz");
         tsPower_ = hub_->declareSeries("fleet.power_w");
     }
-    // Migrate every chip into one shared SoA arena. The arena needs one
-    // per-core lane stride; mixed-core fleets keep their private blocks
-    // (correct either way, just less dense).
-    const size_t cores = slots_.front().chip->coreCount();
-    for (const Slot &slot : slots_) {
-        if (slot.chip->coreCount() != cores)
-            return;
-    }
-    arena_ = std::make_shared<chip::ChipStateSoA>(cores);
-    for (size_t i = 0; i < slots_.size(); ++i)
-        arena_->addSlot();
-    for (size_t i = 0; i < slots_.size(); ++i)
-        slots_[i].chip->migrateState(arena_, i);
 }
 
 void
@@ -139,10 +146,8 @@ FleetStepper::transientSeen(Slot &slot) const
     }
     if (c.lastStepEmergencies() > 0)
         return true;
-    const chip::ChipStateSoA &block = c.stateBlock();
-    const size_t base = c.stateSlot() * c.coreCount();
     for (size_t i = 0; i < c.coreCount(); ++i) {
-        if (block.droopStall[base + i] > Seconds{})
+        if (c.droopStall(i) > Seconds{})
             return true;
     }
     const double setpoint = c.setpoint().value();
@@ -170,19 +175,7 @@ FleetStepper::observe(Slot &slot)
         return;
     }
 
-    const chip::ChipStateSoA &block = c.stateBlock();
-    const size_t base = c.stateSlot() * c.coreCount();
-    double meanFreq = 0.0;
-    size_t activeCores = 0;
-    for (size_t i = 0; i < c.coreCount(); ++i) {
-        const double f = block.coreFrequency[base + i].value();
-        if (f > 0.0) {
-            meanFreq += f;
-            ++activeCores;
-        }
-    }
-    if (activeCores > 0)
-        meanFreq /= double(activeCores);
+    const double meanFreq = meanClockedFrequency(c);
 
     const size_t window = config_.detector.window;
     slot.margin[slot.head] = c.lastWorstMargin().value();
@@ -258,17 +251,7 @@ FleetStepper::sampleSlot(Slot &slot)
     if (t < slot.nextSampleAt)
         return;
     slot.nextSampleAt = t + sampleInterval_;
-    double meanFreq = 0.0;
-    size_t activeCores = 0;
-    for (size_t i = 0; i < c.coreCount(); ++i) {
-        const double f = c.coreFrequency(i).value();
-        if (f > 0.0) {
-            meanFreq += f;
-            ++activeCores;
-        }
-    }
-    if (activeCores > 0)
-        meanFreq /= double(activeCores);
+    const double meanFreq = meanClockedFrequency(c);
     slot.sample = ParkedSample{t, c.lastWorstMargin().value(),
                                c.power().value(), meanFreq / 1e9, true};
 }

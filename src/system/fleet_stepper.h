@@ -1,19 +1,19 @@
 /**
  * @file
- * Fleet-scale chip stepping: SoA shard sweeps plus phase-sampled
+ * Fleet-scale chip stepping: shard sweeps plus phase-sampled
  * fast-forward (the hot path behind the ROADMAP's production-scale
- * fleet item; layout and exactness bounds in docs/PERFORMANCE.md).
+ * fleet item; blocking and exactness bounds in docs/PERFORMANCE.md).
  *
  * Chips are mutually independent (each uses only its own VRM rail), so
  * a fleet of N chips stepping T ticks is N×T independent unit steps
  * that may run in any order. FleetStepper exploits that freedom twice:
  *
- *  - *Shard stepping (exact)*: chips are migrated into one shared
- *    ChipStateSoA arena (Chip::migrateState) and swept in shards with
+ *  - *Shard stepping (exact)*: chips are swept in shards with
  *    temporal blocking — each chip advances `tickBlock` ticks before
- *    the sweep moves on, so its hot lanes stay resident in L1 instead
- *    of being evicted N-1 times per tick. Bit-identical to stepping
- *    every chip serially: same model code, same per-chip RNG streams.
+ *    the sweep moves on, so the state the chip owns stays resident in
+ *    L1 instead of being evicted N-1 times per tick. Bit-identical to
+ *    stepping every chip serially: same model code, same per-chip RNG
+ *    streams.
  *    With threads > 1, each tick block is one StealPool sweep with one
  *    task per shard; with threads <= 1 the same per-shard body runs
  *    inline on the caller. Workers never touch the telemetry hub: each
@@ -210,10 +210,7 @@ class FleetStepper
         ParkedSample sample;
     };
 
-    /**
-     * Adopt all chips into one SoA arena and build the worker pool
-     * (first run).
-     */
+    /** Build the worker pool and declare the series (first run). */
     void freeze();
 
     /** Advance one chip by `ticks` (detector + fast-forward inside). */
@@ -252,7 +249,6 @@ class FleetStepper
 
     FleetStepperConfig config_;
     std::vector<Slot> slots_;
-    std::shared_ptr<chip::ChipStateSoA> arena_;
     bool frozen_ = false;
     /** Persistent worker pool; null when stepping inline. */
     std::unique_ptr<StealPool> pool_;

@@ -73,14 +73,8 @@ Server::clearLoads()
 void
 Server::step(Seconds dt)
 {
-    // Phase sweep (see header): one phase across all sockets before the
-    // next, keeping each phase's lane accesses dense.
     for (auto &c : chips_)
-        c->stepSensePhase(dt);
-    for (auto &c : chips_)
-        c->stepControlPhase(dt);
-    for (auto &c : chips_)
-        c->stepCommitPhase(dt);
+        c->step(dt);
 }
 
 void

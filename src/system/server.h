@@ -71,11 +71,9 @@ class Server
     void clearLoads();
 
     /**
-     * Advance all sockets by dt. Sweeps each step phase across the
-     * sockets (sense, control, commit) so both chips' hot SoA lanes are
-     * walked back-to-back per phase — bit-identical to stepping each
-     * socket in isolation, since sockets share nothing but the VRM's
-     * per-rail state.
+     * Advance all sockets by dt, one Chip::step per socket in socket
+     * order. Sockets share nothing but the VRM, whose state is per
+     * rail, so the order does not change any result.
      */
     void step(Seconds dt);
 

@@ -46,10 +46,6 @@ ArrivalConfig::validate() const
         throw ConfigError("arrivals: diurnalPeriod must be positive");
     if (diurnalAmplitude < 0.0 || diurnalAmplitude > 1.0)
         throw ConfigError("arrivals: diurnalAmplitude out of [0, 1]");
-    for (double m : diurnalTrace) {
-        if (m < 0.0)
-            throw ConfigError("arrivals: negative diurnalTrace entry");
-    }
     if (burstMultiplier < 1.0)
         throw ConfigError("arrivals: burstMultiplier must be >= 1");
     if (calmMeanDuration <= Seconds{0.0} ||
@@ -93,12 +89,6 @@ ArrivalProcess::shapeMultiplier(Seconds t) const
         double phase = std::fmod(t.value(), period) / period;
         if (phase < 0.0)
             phase += 1.0;
-        if (!config_.diurnalTrace.empty()) {
-            const size_t slices = config_.diurnalTrace.size();
-            size_t k = size_t(phase * double(slices));
-            k = std::min(k, slices - 1);
-            return config_.diurnalTrace[k];
-        }
         // Raised cosine: trough at phase 0, peak mid-period.
         return 1.0 - config_.diurnalAmplitude *
                          std::cos(2.0 * M_PI * phase);

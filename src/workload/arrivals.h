@@ -44,7 +44,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -82,13 +81,6 @@ struct ArrivalConfig
      * 0.5x..1.5x across the day (trough at t=0).
      */
     double diurnalAmplitude = 0.5;
-    /**
-     * Diurnal: optional piecewise-constant day trace. When non-empty,
-     * entry k is the rate multiplier for the k-th equal slice of the
-     * period and replaces the cosine curve. This is the hook for
-     * replaying measured datacenter traces.
-     */
-    std::vector<double> diurnalTrace;
 
     /** MMPP: burst-state rate multiplier (>= 1). */
     double burstMultiplier = 4.0;

@@ -110,22 +110,6 @@ TEST(Arrivals, DiurnalSweepsTroughToPeak)
     EXPECT_NEAR(process.rate(Seconds{10.0}), 500.0, 1e-9);
 }
 
-TEST(Arrivals, DiurnalTraceOverridesTheCosine)
-{
-    ArrivalConfig config;
-    config.kind = ArrivalKind::Diurnal;
-    config.baseRatePerSec = 100.0;
-    config.diurnalPeriod = Seconds{4.0};
-    config.diurnalTrace = {1.0, 2.0, 3.0, 0.5};
-    ArrivalProcess process(config);
-    EXPECT_NEAR(process.rate(Seconds{0.5}), 100.0, 1e-9);
-    EXPECT_NEAR(process.rate(Seconds{1.5}), 200.0, 1e-9);
-    EXPECT_NEAR(process.rate(Seconds{2.5}), 300.0, 1e-9);
-    EXPECT_NEAR(process.rate(Seconds{3.5}), 50.0, 1e-9);
-    // Wraps around the period.
-    EXPECT_NEAR(process.rate(Seconds{4.5}), 100.0, 1e-9);
-}
-
 TEST(Arrivals, FlashCrowdRampsAndDecays)
 {
     ArrivalConfig config;

@@ -160,6 +160,10 @@ TEST(ChipCheckpoint, RestoreRejectsIdentityMismatch)
     chip::ChipCheckpoint wrongCores = c->checkpoint();
     wrongCores.coreCount += 1;
     EXPECT_THROW(c->restoreCheckpoint(wrongCores), ConfigError);
+
+    chip::ChipCheckpoint wrongLength = c->checkpoint();
+    wrongLength.state.coreVoltage.pop_back();
+    EXPECT_THROW(c->restoreCheckpoint(wrongLength), ConfigError);
 }
 
 } // namespace

@@ -90,108 +90,20 @@ TEST(ClusterPolicy, RejectsOverCapacity)
                  ConfigError);
 }
 
-namespace {
-
-chip::ChipHealthView
-healthyServerView()
+TEST(ClusterPolicy, ServerLoadsFollowTheStrategy)
 {
-    chip::ChipHealthView view;
-    view.state = chip::SafetyState::Monitoring;
-    view.commandedMode = chip::GuardbandMode::AdaptiveUndervolt;
-    view.effectiveMode = chip::GuardbandMode::AdaptiveUndervolt;
-    return view;
-}
-
-chip::ChipHealthView
-demotedServerView()
-{
-    chip::ChipHealthView view = healthyServerView();
-    view.state = chip::SafetyState::Demoted;
-    view.effectiveMode = chip::GuardbandMode::StaticGuardband;
-    view.demotions = 1;
-    return view;
-}
-
-/** smallSpec with per-server telemetry: server 0 has a demoted socket. */
-ClusterSpec
-sickFirstServerSpec()
-{
-    ClusterSpec spec = smallSpec();
-    spec.healthAware = true;
-    spec.serverHealth = {
-        {demotedServerView(), healthyServerView()},
-        {healthyServerView(), healthyServerView()},
-        {healthyServerView(), healthyServerView()},
-    };
-    return spec;
-}
-
-} // namespace
-
-TEST(ClusterPolicy, HealthBlindByDefault)
-{
-    ClusterSpec spec = sickFirstServerSpec();
-    spec.healthAware = false;
-    EXPECT_TRUE(serverHealthy(spec, 0));
-    // Consolidation still fills server 0 first.
-    const auto loads = serverLoads(
-        spec, 8, ClusterStrategy::ConsolidateServersBorrowSockets);
-    EXPECT_EQ(loads, (std::vector<size_t>{8, 0, 0}));
-}
-
-TEST(ClusterPolicy, HealthAwareConsolidationSkipsDemotedServer)
-{
-    const ClusterSpec spec = sickFirstServerSpec();
-    EXPECT_FALSE(serverHealthy(spec, 0));
-    EXPECT_TRUE(serverHealthy(spec, 1));
-
-    const auto loads = serverLoads(
-        spec, 8, ClusterStrategy::ConsolidateServersBorrowSockets);
-    EXPECT_EQ(loads, (std::vector<size_t>{0, 8, 0}));
-
-    // The demoted server only powers on once the healthy pool is full.
-    const auto spill = serverLoads(
-        spec, 20, ClusterStrategy::ConsolidateServersBorrowSockets);
-    EXPECT_EQ(spill, (std::vector<size_t>{4, 8, 8}));
-}
-
-TEST(ClusterPolicy, HealthAwareSpreadRoundRobinsHealthyPoolThenSpills)
-{
-    const ClusterSpec spec = sickFirstServerSpec();
-    const auto loads = serverLoads(
-        spec, 6, ClusterStrategy::SpreadServersBorrowSockets);
-    EXPECT_EQ(loads, (std::vector<size_t>{0, 3, 3}));
-
-    const auto spill = serverLoads(
-        spec, 18, ClusterStrategy::SpreadServersBorrowSockets);
-    EXPECT_EQ(spill, (std::vector<size_t>{2, 8, 8}));
-}
-
-TEST(ClusterPolicy, AllServersUnhealthyFallsBackToWholeCluster)
-{
-    ClusterSpec spec = sickFirstServerSpec();
-    spec.serverHealth = {
-        {demotedServerView()},
-        {demotedServerView()},
-        {demotedServerView()},
-    };
-    const auto loads = serverLoads(
-        spec, 6, ClusterStrategy::SpreadServersBorrowSockets);
-    EXPECT_EQ(loads, (std::vector<size_t>{2, 2, 2}));
-}
-
-TEST(ClusterPolicy, DroopCeilingDistrustsServer)
-{
-    ClusterSpec spec = smallSpec();
-    spec.healthAware = true;
-    spec.healthParams.droopDepthCeiling = Volts{60e-3};
-    auto stormStruck = healthyServerView();
-    stormStruck.latchedDroopDepth = Volts{90e-3};
-    spec.serverHealth = {{stormStruck}, {healthyServerView()}};
-    EXPECT_FALSE(serverHealthy(spec, 0));
-    EXPECT_TRUE(serverHealthy(spec, 1));
-    // No telemetry recorded for server 2: assumed healthy.
-    EXPECT_TRUE(serverHealthy(spec, 2));
+    const ClusterSpec spec = smallSpec();
+    // Consolidation fills the lowest-indexed servers first.
+    EXPECT_EQ(serverLoads(spec, 8,
+                          ClusterStrategy::ConsolidateServersBorrowSockets),
+              (std::vector<size_t>{8, 0, 0}));
+    EXPECT_EQ(serverLoads(spec, 20,
+                          ClusterStrategy::ConsolidateServersBorrowSockets),
+              (std::vector<size_t>{8, 8, 4}));
+    // Spreading round-robins over every server.
+    EXPECT_EQ(serverLoads(spec, 6,
+                          ClusterStrategy::SpreadServersBorrowSockets),
+              (std::vector<size_t>{2, 2, 2}));
 }
 
 TEST(ClusterPolicy, StrategyNames)

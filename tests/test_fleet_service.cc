@@ -69,6 +69,54 @@ TEST(FleetService, ExactModeBitIdenticalAcrossThreadCounts)
     EXPECT_EQ(serialDigest, stolenDigest);
 }
 
+/**
+ * The determinism contract, pinned: stateDigest() after 0.3 s of
+ * baseConfig() under each arrival shape, exact and phase-sampled. A
+ * change to the model that moves any value here changes simulated
+ * results; re-pinning a value requires listing its old and new values
+ * in CHANGES.md.
+ */
+TEST(FleetService, PinnedDigestsPerArrivalShape)
+{
+    struct Pin
+    {
+        workload::ArrivalKind kind;
+        uint64_t exact;
+        uint64_t sampled;
+    };
+    const Pin pins[] = {
+        {workload::ArrivalKind::Steady, 2567872669012474511ull,
+         11889132569883756619ull},
+        {workload::ArrivalKind::Diurnal, 11159727264952013326ull,
+         2018651154935110534ull},
+        {workload::ArrivalKind::Mmpp, 16493186083483869594ull,
+         285915375877750142ull},
+        {workload::ArrivalKind::FlashCrowd, 8444355354971873842ull,
+         5259592427991211864ull},
+    };
+    for (const Pin &pin : pins) {
+        for (const bool sampling : {false, true}) {
+            FleetServiceConfig config = baseConfig();
+            config.arrivals.kind = pin.kind;
+            // The whole flash crowd (rise, hold, decay) inside the run;
+            // with the 5 s default start a flash run equals steady.
+            config.arrivals.flashStart = Seconds{0.05};
+            config.arrivals.flashRise = Seconds{0.1};
+            config.arrivals.flashHold = Seconds{0.1};
+            config.arrivals.flashDecay = Seconds{0.05};
+            config.arrivals.flashMultiplier = 3.0;
+            config.stepper.sampling = sampling;
+            FleetService service(config);
+            service.start();
+            service.runFor(Seconds{0.3});
+            EXPECT_EQ(service.stateDigest(),
+                      sampling ? pin.sampled : pin.exact)
+                << workload::arrivalKindName(pin.kind)
+                << (sampling ? " sampled" : " exact");
+        }
+    }
+}
+
 TEST(FleetService, DigestUnaffectedByTelemetry)
 {
     uint64_t darkDigest = 0;

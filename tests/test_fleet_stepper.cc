@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -40,11 +41,12 @@ constexpr double kPowerEpsilon = 0.03;
 /**
  * One self-contained fleet: a many-rail VRM plus one chip per rail,
  * with varied per-chip personas (seed, mode, active core count) so the
- * sweep sees heterogeneous work.
+ * sweep sees heterogeneous work. With mixedCores, every odd chip has
+ * four cores instead of eight.
  */
 struct Fleet
 {
-    explicit Fleet(size_t count = kChips)
+    explicit Fleet(size_t count = kChips, bool mixedCores = false)
         : vrm(count)
     {
         for (size_t i = 0; i < count; ++i) {
@@ -54,8 +56,10 @@ struct Fleet
             config.mode = i % 2 == 0
                               ? chip::GuardbandMode::AdaptiveUndervolt
                               : chip::GuardbandMode::StaticGuardband;
+            if (mixedCores && i % 2 == 1)
+                config.coreCount = 4;
             auto c = std::make_unique<chip::Chip>(config, &vrm);
-            const size_t active = 2 + i % 7;
+            const size_t active = std::min(config.coreCount, 2 + i % 7);
             for (size_t core = 0; core < active; ++core) {
                 c->setLoad(core, chip::CoreLoad::running(1.0, 13.0_mV,
                                                          24.0_mV));
@@ -161,24 +165,29 @@ meanWindowPower(const chip::Chip &c)
 
 TEST(FleetStepperExact, ShardSweepIsBitIdenticalToSerialStepping)
 {
-    Fleet serial;
-    Fleet fleet;
+    // Uniform 8-core chips, then a fleet that mixes 4- and 8-core chips.
+    for (const bool mixedCores : {false, true}) {
+        SCOPED_TRACE(mixedCores ? "mixed core counts" : "uniform");
+        Fleet serial(kChips, mixedCores);
+        Fleet fleet(kChips, mixedCores);
 
-    FleetStepperConfig config;
-    config.sampling = false;
-    config.tickBlock = 64;
-    FleetStepper stepper(config);
-    for (auto &c : fleet.chips)
-        stepper.addChip(c.get());
+        FleetStepperConfig config;
+        config.sampling = false;
+        config.tickBlock = 64;
+        FleetStepper stepper(config);
+        for (auto &c : fleet.chips)
+            stepper.addChip(c.get());
 
-    // 400 ticks spans several firmware decisions and telemetry windows,
-    // and the tick count is deliberately not a tickBlock multiple.
-    serial.stepSerial(400);
-    stepper.run(400, kDt);
+        // 400 ticks spans several firmware decisions and telemetry
+        // windows, and the tick count is deliberately not a tickBlock
+        // multiple.
+        serial.stepSerial(400);
+        stepper.run(400, kDt);
 
-    EXPECT_EQ(stepper.exactSteps(), 400 * int64_t(kChips));
-    EXPECT_EQ(stepper.fastForwardedTicks(), 0);
-    expectBitIdentical(serial, fleet);
+        EXPECT_EQ(stepper.exactSteps(), 400 * int64_t(kChips));
+        EXPECT_EQ(stepper.fastForwardedTicks(), 0);
+        expectBitIdentical(serial, fleet);
+    }
 }
 
 TEST(FleetStepperExact, ThreadedSweepIsBitIdenticalToSerialStepping)
