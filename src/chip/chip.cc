@@ -200,7 +200,10 @@ void
 Chip::solveElectrical()
 {
     const size_t n = config_.coreCount;
-    const Celsius temp = thermal_.temperature();
+    // Leakage's temperature factor is the same for every core, the
+    // uncore and every iteration: one exp2 per solve.
+    const double leakTemp =
+        powerModel_.leakageTemperatureFactor(thermal_.temperature());
     Volts *const cv = state_.coreVoltage.data();
     Amps *const cc = state_.coreCurrent.data();
     Amps &railCurrent = state_.railCurrent;
@@ -213,19 +216,19 @@ Chip::solveElectrical()
             const CoreLoad &load = loads_[i];
             Watts p;
             if (load.gated) {
-                p = powerModel_.coreLeakage(railVoltage, temp, true);
+                p = powerModel_.coreLeakage(railVoltage, leakTemp, true);
             } else {
                 const double activity = load.active
                                             ? load.activity
                                             : powerModel_.idleActivity();
                 const Hertz f = dplls_[i].frequency();
                 p = powerModel_.coreDynamic(cv[i], f, activity) +
-                    powerModel_.coreLeakage(cv[i], temp, false);
+                    powerModel_.coreLeakage(cv[i], leakTemp, false);
             }
             cc[i] = p / std::max(railVoltage, Volts{0.5});
             total += p;
         }
-        total += powerModel_.uncore(railVoltage, temp);
+        total += powerModel_.uncore(railVoltage, leakTemp);
 
         railCurrent = total / std::max(railVoltage, Volts{0.5});
         railVoltage = vrm_->outputAt(config_.railIndex, railCurrent);
@@ -409,6 +412,10 @@ Chip::stepControlPhase(Seconds dt)
             continue;
         }
 
+        // The control path reads at the DVFS target, and so does the
+        // sensing path whenever the DPLL runs there.
+        sensors::CpmBank &bank = cpms_.bank(i);
+        bank.memoize(config_.targetFrequency);
         switch (config_.mode) {
           case GuardbandMode::StaticGuardband:
           case GuardbandMode::Disabled:
@@ -419,8 +426,8 @@ Chip::stepControlPhase(Seconds dt)
             // The DPLL follows its core's worst CPM, so the residual
             // calibration error — and any injected sensor fault —
             // tilts the margin it preserves.
-            dplls_[i].step(cpms_.bank(i).controlVoltage(
-                               ctrl[i], config_.targetFrequency),
+            dplls_[i].step(bank.controlVoltage(ctrl[i],
+                                               config_.targetFrequency),
                            dt);
             stall[i] = dplls_[i].droopStall(noise.worstDroop,
                                             noise.droopEvents);
@@ -431,12 +438,12 @@ Chip::stepControlPhase(Seconds dt)
         const Volts vInstant = cv[i] - noise.typicalNow;
         const Volts vSticky = cv[i] -
             std::max(noise.typicalNow, noise.worstDroop);
-        obs.sampleCpm[i] = cpms_.bank(i).minRead(vInstant, f);
+        obs.sampleCpm[i] = bank.minRead(vInstant, f);
         // On droop-free steps (the overwhelming majority) the sticky
         // read sees the same voltage as the sampled read — reuse it.
         obs.stickyCpm[i] = vSticky == vInstant
                                ? obs.sampleCpm[i]
-                               : cpms_.bank(i).minRead(vSticky, f);
+                               : bank.minRead(vSticky, f);
         obs.coreVoltage[i] = cv[i];
         obs.coreFrequency[i] = f;
 

@@ -56,6 +56,23 @@ struct PowerModelParams
 };
 
 /**
+ * x^3 rounded to nearest, when that provably equals std::pow(x, 3.0).
+ *
+ * The cube is formed as an exact double-double with Dekker's product
+ * (no FMA: the build is ISO C++, where GCC does not contract), then
+ * rounded. glibc documents a worst-case pow error of 0.54 ULP, so when
+ * the exact cube lies within 0.45 ULP of the rounded value no other
+ * double is within reach of pow, and pow returns that same value.
+ *
+ * @param x Base; the fast path covers [2^-100, 2^100], where every
+ *        partial product stays a normal double.
+ * @param cube Receives the cube when the function returns true.
+ * @return false when x is out of range or the exact cube lies too near
+ *         a rounding midpoint; the caller then calls std::pow.
+ */
+bool certifiedCube(double x, double &cube);
+
+/**
  * Stateless power evaluator shared by all cores of a chip.
  */
 class CorePowerModel
@@ -78,22 +95,43 @@ class CorePowerModel
     Watts coreDynamic(Volts v, Hertz f, double activity) const;
 
     /**
+     * Temperature factor of leakage, 2^((T - Tref) / Tdouble). It
+     * depends only on the junction temperature, so the chip computes it
+     * once per electrical solve and every core and the uncore multiply
+     * by the same value.
+     */
+    double leakageTemperatureFactor(Celsius temperature) const;
+
+    /**
+     * Voltage factor of leakage, vr^leakageVoltageExponent. For the
+     * default exponent 3 the cube is computed exactly (see
+     * certifiedCube()); every result equals std::pow(vr, exponent).
+     */
+    double leakageVoltageFactor(double vr) const;
+
+    /**
      * Leakage power of one core.
      *
      * @param v On-chip voltage.
-     * @param temperature Junction temperature.
+     * @param temperatureFactor leakageTemperatureFactor() of the
+     *        junction temperature.
      * @param gated Whether the core is power gated (deep sleep).
      */
-    Watts coreLeakage(Volts v, Celsius temperature, bool gated) const;
+    Watts coreLeakage(Volts v, double temperatureFactor, bool gated) const;
 
-    /** Uncore power (scales with V^2 dynamic + leakage share). */
-    Watts uncore(Volts v, Celsius temperature) const;
+    /**
+     * Uncore power (scales with V^2 dynamic + leakage share).
+     *
+     * @param temperatureFactor leakageTemperatureFactor() of the
+     *        junction temperature.
+     */
+    Watts uncore(Volts v, double temperatureFactor) const;
 
     /** Activity factor to charge a powered-on idle core. */
     double idleActivity() const { return params_.idleActivity; }
 
   private:
-    double leakageScale(Volts v, Celsius temperature) const;
+    double leakageScale(Volts v, double temperatureFactor) const;
 
     PowerModelParams params_;
 };

@@ -26,8 +26,11 @@ ThermalModel::step(Watts power, Seconds dt)
 {
     panicIf(dt < Seconds{0.0}, "negative thermal step");
     const Celsius target = steadyState(power);
-    const double alpha = 1.0 - std::exp(-dt / params_.timeConstant);
-    temperature_ += (target - temperature_) * alpha;
+    if (dt != alphaDt_) {
+        alphaDt_ = dt;
+        alpha_ = 1.0 - std::exp(-dt / params_.timeConstant);
+    }
+    temperature_ += (target - temperature_) * alpha_;
 }
 
 void

@@ -12,6 +12,8 @@
 #ifndef AGSIM_POWER_THERMAL_MODEL_H
 #define AGSIM_POWER_THERMAL_MODEL_H
 
+#include <limits>
+
 #include "common/units.h"
 
 namespace agsim::power {
@@ -59,6 +61,10 @@ class ThermalModel
   private:
     ThermalParams params_;
     Celsius temperature_;
+    // step()'s relaxation factor 1 - exp(-dt/tau), memoized on the
+    // exact dt it was computed for (NaN: none yet).
+    Seconds alphaDt_ = Seconds{std::numeric_limits<double>::quiet_NaN()};
+    double alpha_ = 0.0;
 };
 
 } // namespace agsim::power

@@ -1,6 +1,5 @@
 #include "sensors/cpm.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -42,6 +41,19 @@ sensitivityScaling(double ratio, double exponent)
     return std::pow(ratio, exponent);
 }
 
+/**
+ * The detector position nearest raw, clamped to [0, positions - 1].
+ * The clamp happens in double, before the conversion, because int(x)
+ * is undefined for x outside int's range; a NaN reads as position 0.
+ */
+inline int
+quantize(double raw, int positions)
+{
+    const double rounded = std::floor(raw + 0.5);
+    const double top = double(positions - 1);
+    return int(rounded >= top ? top : rounded > 0.0 ? rounded : 0.0);
+}
+
 } // namespace
 
 Volts
@@ -66,9 +78,7 @@ Cpm::rawPosition(Volts v, Hertz f) const
 int
 Cpm::read(Volts v, Hertz f) const
 {
-    const double raw = rawPosition(v, f);
-    const int quantized = int(std::floor(raw + 0.5));
-    return std::clamp(quantized, 0, params_.positions - 1);
+    return quantize(rawPosition(v, f), params_.positions);
 }
 
 double
@@ -88,8 +98,7 @@ Cpm::readAt(Volts excess, double scaling) const
         params_.voltsPerBitAtRef * sensitivityScale_ * scaling;
     const double raw =
         double(params_.calibrationPosition) + excess / vpb + offsetBits_;
-    const int quantized = int(std::floor(raw + 0.5));
-    return std::clamp(quantized, 0, params_.positions - 1);
+    return quantize(raw, params_.positions);
 }
 
 Volts

@@ -79,9 +79,7 @@ CpmBank::minRead(Volts v, Hertz f) const
     const power::VfCurve *curve = front.curve();
     const Volts excess =
         curve->marginAt(v, f) - curve->params().calibratedMargin;
-    const double scaling = Cpm::frequencyScaling(
-        curve->params().refFrequency / f,
-        front.params().sensitivityFreqExponent);
+    const double scaling = scalingAt(f);
     int lowest = front.readAt(excess, scaling);
     for (size_t i = 1; i < cpms_.size(); ++i)
         lowest = std::min(lowest, cpms_[i].readAt(excess, scaling));
@@ -116,15 +114,40 @@ CpmBank::meanVoltsPerBit(Hertz f) const
 Volts
 CpmBank::controlBias(Hertz f) const
 {
-    // Shared frequency scaling across the bank, as in minRead().
+    // The fault bias changes from step to step, so it is never memoized.
+    const Volts lowest =
+        f == memo_.f ? memo_.lowestBias : lowestBiasAt(scalingAt(f));
+    return lowest + fault_.biasVolts;
+}
+
+double
+CpmBank::scalingAt(Hertz f) const
+{
+    if (f == memo_.f)
+        return memo_.scaling;
+    // Shared frequency scaling across the bank.
     const Cpm &front = cpms_.front();
-    const double scaling = Cpm::frequencyScaling(
-        front.curve()->params().refFrequency / f,
-        front.params().sensitivityFreqExponent);
-    Volts lowest = front.controlBiasScaled(scaling);
+    return Cpm::frequencyScaling(front.curve()->params().refFrequency / f,
+                                 front.params().sensitivityFreqExponent);
+}
+
+Volts
+CpmBank::lowestBiasAt(double scaling) const
+{
+    Volts lowest = cpms_.front().controlBiasScaled(scaling);
     for (size_t i = 1; i < cpms_.size(); ++i)
         lowest = std::min(lowest, cpms_[i].controlBiasScaled(scaling));
-    return lowest + fault_.biasVolts;
+    return lowest;
+}
+
+void
+CpmBank::memoize(Hertz f)
+{
+    if (f == memo_.f)
+        return;
+    memo_.scaling = scalingAt(f);
+    memo_.lowestBias = lowestBiasAt(memo_.scaling);
+    memo_.f = f;
 }
 
 Volts
@@ -159,20 +182,6 @@ ChipCpmArray::ChipCpmArray(const power::VfCurve *curve,
     banks_.reserve(coreCount);
     for (size_t core = 0; core < coreCount; ++core)
         banks_.emplace_back(curve, params, core, seed, cpmsPerCore);
-}
-
-const CpmBank &
-ChipCpmArray::bank(size_t core) const
-{
-    panicIf(core >= banks_.size(), "core index out of range");
-    return banks_[core];
-}
-
-CpmBank &
-ChipCpmArray::bank(size_t core)
-{
-    panicIf(core >= banks_.size(), "core index out of range");
-    return banks_[core];
 }
 
 void

@@ -17,8 +17,10 @@
 #define AGSIM_SENSORS_CPM_BANK_H
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "power/vf_curve.h"
@@ -114,9 +116,33 @@ class CpmBank
     /** Access an instance (e.g. for voltage inversion). */
     const Cpm &cpm(size_t index) const;
 
+    /**
+     * Memoize the bank's frequency-dependent terms at f: the
+     * sensitivity scaling (fref/f)^exponent and the lowest control
+     * bias before any fault bias. The chip memoizes its DVFS target on
+     * the stepping thread: the control path always reads there, and the
+     * sensing path does whenever the DPLL runs at the target. Const
+     * reads at any other frequency compute the same terms afresh, so no
+     * result depends on what is memoized.
+     */
+    void memoize(Hertz f);
+
   private:
+    /** Frequency-dependent terms of the bank at memoize()'s f. */
+    struct FrequencyTerms
+    {
+        /** The exact frequency the terms belong to (NaN: empty). */
+        Hertz f = Hertz{std::numeric_limits<double>::quiet_NaN()};
+        double scaling = 0.0;
+        Volts lowestBias;
+    };
+
+    double scalingAt(Hertz f) const;
+    Volts lowestBiasAt(double scaling) const;
+
     std::vector<Cpm> cpms_;
     CpmFault fault_;
+    FrequencyTerms memo_;
 };
 
 /**
@@ -130,10 +156,20 @@ class ChipCpmArray
 
     size_t coreCount() const { return banks_.size(); }
 
-    const CpmBank &bank(size_t core) const;
+    const CpmBank &bank(size_t core) const
+    {
+        if (core >= banks_.size())
+            panic("core index out of range");
+        return banks_[core];
+    }
 
-    /** Mutable access (fault injection writes per-step fault state). */
-    CpmBank &bank(size_t core);
+    /** Mutable access (fault injection and the frequency memo). */
+    CpmBank &bank(size_t core)
+    {
+        if (core >= banks_.size())
+            panic("core index out of range");
+        return banks_[core];
+    }
 
     /** Clear injected fault state on every bank. */
     void clearFaults();

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 
 #include "chip/chip.h"
@@ -136,6 +138,89 @@ TEST(ChipCheckpoint, RestoreResumesFaultInjectorClock)
     }
     expectChipsBitIdentical(*a, *b);
     EXPECT_EQ(injectorA.now().value(), injectorB.now().value());
+}
+
+/** FNV-1a over the bits of a chip's per-step observables. */
+class ChipHash
+{
+  public:
+    void add(double x)
+    {
+        const uint64_t bits = std::bit_cast<uint64_t>(x);
+        for (int byte = 0; byte < 8; ++byte) {
+            hash_ ^= (bits >> (8 * byte)) & 0xFFu;
+            hash_ *= 0x100000001B3ull;
+        }
+    }
+
+    void addStep(const chip::Chip &c)
+    {
+        add(c.power().value());
+        add(c.railCurrent().value());
+        add(c.setpoint().value());
+        add(c.temperature().value());
+        add(c.lastWorstMargin().value());
+        for (size_t core = 0; core < c.coreCount(); ++core) {
+            add(c.coreVoltage(core).value());
+            add(c.coreFrequency(core).value());
+        }
+    }
+
+    /** The CPM readings of every telemetry window from `first` on. */
+    void addWindows(const chip::Chip &c, size_t first)
+    {
+        const auto &windows = c.telemetry().windows();
+        for (size_t w = first; w < windows.size(); ++w) {
+            for (size_t core = 0; core < c.coreCount(); ++core) {
+                add(double(windows[w].sampleCpm[core]));
+                add(double(windows[w].stickyCpm[core]));
+            }
+        }
+    }
+
+    uint64_t value() const { return hash_; }
+
+  private:
+    uint64_t hash_ = 0xCBF29CE484222325ull;
+};
+
+TEST(ChipCheckpoint, RestoredChipHashesLikeAnUninterruptedOne)
+{
+    // Mixed step sizes alternate the thermal memo, and overclock mode
+    // reads CPMs away from the DVFS target; a restored chip starts with
+    // the memos of another history and must not show it.
+    const Seconds dts[] = {kDt, kDt, Seconds{2e-3}};
+    for (chip::GuardbandMode mode :
+         {chip::GuardbandMode::AdaptiveUndervolt,
+          chip::GuardbandMode::AdaptiveOverclock}) {
+        pdn::Vrm vrmA(1);
+        pdn::Vrm vrmB(1);
+        auto a = makeBusyChip(vrmA, 0);
+        a->setMode(mode);
+        for (int t = 0; t < 400; ++t)
+            a->step(dts[t % 3]);
+        const chip::ChipCheckpoint checkpoint = a->checkpoint();
+        const size_t windowsAtCheckpoint = a->telemetry().windows().size();
+
+        auto b = makeBusyChip(vrmB, 0);
+        b->setTargetFrequency(Hertz{3.6e9});
+        for (int t = 0; t < 150; ++t)
+            b->step(Seconds{3e-3});
+        b->restoreCheckpoint(checkpoint);
+
+        ChipHash hashA;
+        ChipHash hashB;
+        for (int t = 0; t < 600; ++t) {
+            a->step(dts[t % 3]);
+            b->step(dts[t % 3]);
+            hashA.addStep(*a);
+            hashB.addStep(*b);
+        }
+        hashA.addWindows(*a, windowsAtCheckpoint);
+        hashB.addWindows(*b, 0);
+        EXPECT_EQ(hashA.value(), hashB.value())
+            << guardbandModeName(mode);
+    }
 }
 
 TEST(ChipCheckpoint, RestoreBumpsStateEpoch)

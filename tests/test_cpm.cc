@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/error.h"
@@ -127,9 +128,41 @@ TEST_F(CpmTest, RejectsBadConstruction)
     EXPECT_THROW(Cpm(&curve_, bad, 1.0, 0.0), ConfigError);
 }
 
+TEST_F(CpmTest, HugeExcessClampsToDetectorEnds)
+{
+    // The clamp happens before the conversion to int, so no excess is
+    // too large to quantize.
+    Cpm cpm(&curve_, params_, 1.0, 0.0);
+    EXPECT_EQ(cpm.readAt(Volts{1e300}, 1.0), params_.positions - 1);
+    EXPECT_EQ(cpm.readAt(Volts{-1e300}, 1.0), 0);
+    EXPECT_EQ(cpm.read(Volts{1e300}, 4.2_GHz), params_.positions - 1);
+    EXPECT_EQ(cpm.read(Volts{-1e300}, 4.2_GHz), 0);
+}
+
 class CpmBankTest : public ::testing::Test
 {
   protected:
+    /** The bank's lowest reading at (v, f), CPM by CPM. */
+    static int lowestRead(const CpmBank &bank, Volts v, Hertz f)
+    {
+        int lowest = bank.read(0, v, f);
+        for (size_t i = 1; i < bank.size(); ++i)
+            lowest = std::min(lowest, bank.read(i, v, f));
+        return lowest;
+    }
+
+    /** The bank's lowest control bias at f, CPM by CPM, no fault. */
+    static Volts lowestBias(const CpmBank &bank, Hertz f)
+    {
+        Volts lowest = bank.cpm(0).controlOffsetBits() *
+                       bank.cpm(0).voltsPerBit(f);
+        for (size_t i = 1; i < bank.size(); ++i) {
+            lowest = std::min(lowest, bank.cpm(i).controlOffsetBits() *
+                                          bank.cpm(i).voltsPerBit(f));
+        }
+        return lowest;
+    }
+
     VfCurve curve_;
     CpmParams params_;
 };
@@ -160,6 +193,67 @@ TEST_F(CpmBankTest, MinReadIsLowestInstance)
     for (size_t i = 0; i < bank.size(); ++i)
         lowest = std::min(lowest, bank.read(i, v, f));
     EXPECT_EQ(bank.minRead(v, f), lowest);
+}
+
+TEST_F(CpmBankTest, MemoizedReadsMatchPerCpmReads)
+{
+    // Frequencies revisited after others replaced them in the memo,
+    // and a const read at a frequency never memoized.
+    CpmBank bank(&curve_, params_, 1, 42);
+    const Hertz f1 = 4.2_GHz;
+    const Hertz f2 = 3.7_GHz;
+    const Hertz f3 = 2.8_GHz;
+    for (Hertz f : {f1, f2, f1, f3, f2, f1}) {
+        bank.memoize(f);
+        for (Hertz g : {f, 3.3_GHz}) {
+            for (int mv = 1000; mv <= 1250; mv += 2) {
+                const Volts v{mv * 1e-3};
+                ASSERT_EQ(bank.minRead(v, g), lowestRead(bank, v, g))
+                    << "f " << f.value() << " g " << g.value() << " v " << mv;
+            }
+            EXPECT_EQ(bank.controlBias(g).value(),
+                      lowestBias(bank, g).value());
+        }
+    }
+}
+
+TEST_F(CpmBankTest, FaultsSetAfterMemoizeStillShow)
+{
+    CpmBank bank(&curve_, params_, 3, 42);
+    const Hertz f = 4.2_GHz;
+    const Volts v{1.16};
+    bank.memoize(f);
+    const int healthy = bank.minRead(v, f);
+    const Volts healthyControl = bank.controlVoltage(v, f);
+    EXPECT_EQ(healthyControl.value(), (v + lowestBias(bank, f)).value());
+
+    CpmFault bias;
+    bias.biasVolts = Volts{0.03};
+    bank.setFault(bias);
+    EXPECT_EQ(bank.minRead(v, f), lowestRead(bank, v + bias.biasVolts, f));
+    EXPECT_GT(bank.minRead(v, f), healthy);
+    EXPECT_EQ(bank.controlVoltage(v, f).value(),
+              (v + (lowestBias(bank, f) + bias.biasVolts)).value());
+
+    CpmFault stuck;
+    stuck.stuckPosition = 7;
+    bank.setFault(stuck);
+    EXPECT_EQ(bank.minRead(v, f), 7);
+    EXPECT_EQ(bank.controlVoltage(v, f).value(),
+              bank.cpm(0).positionToVoltage(7.0, f).value());
+
+    CpmFault dark;
+    dark.dropout = true;
+    bank.setFault(dark);
+    EXPECT_EQ(bank.minRead(v, f), params_.positions - 1);
+    EXPECT_EQ(bank.controlVoltage(v, f).value(),
+              bank.cpm(0)
+                  .positionToVoltage(double(params_.positions - 1), f)
+                  .value());
+
+    bank.clearFault();
+    EXPECT_EQ(bank.minRead(v, f), healthy);
+    EXPECT_EQ(bank.controlVoltage(v, f).value(), healthyControl.value());
 }
 
 TEST_F(CpmBankTest, PersonalityFrozenBySeed)

@@ -91,5 +91,26 @@ TEST(ThermalModel, RejectsBadParams)
     EXPECT_THROW(ThermalModel{params}, ConfigError);
 }
 
+TEST(ThermalModel, AlternatingStepSizesMatchAFreshModel)
+{
+    // Sampled spans alternate a 1 ms tick with longer spans; each step
+    // must equal a fresh model stepped once from the same temperature.
+    ThermalModel model;
+    const Seconds dts[] = {Seconds{1e-3}, Seconds{0.032}, Seconds{1e-3},
+                           Seconds{0.512}, Seconds{0.5e-3}, Seconds{1e-3}};
+    for (int round = 0; round < 50; ++round) {
+        for (Seconds dt : dts) {
+            const Watts power{60.0 + 2.0 * round};
+            ThermalModel fresh;
+            fresh.restoreTemperature(model.temperature());
+            fresh.step(power, dt);
+            model.step(power, dt);
+            ASSERT_EQ(model.temperature().value(),
+                      fresh.temperature().value())
+                << "round " << round << " dt " << dt.value();
+        }
+    }
+}
+
 } // namespace
 } // namespace agsim::power
