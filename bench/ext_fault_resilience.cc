@@ -110,16 +110,16 @@ runPoint(double biasMv, const bench::BenchOptions &options)
         c.step(kDt);
     if (c.safetyDemoted()) {
         point.timeToDemotion = injector.now() - kFaultStart;
-        point.emergencies = c.safetyMonitor().totalEmergencies();
+        point.emergencies = c.totalEmergencies();
     }
 
     // Post-demotion: let the rail recover to the static setpoint, then
     // verify the guardband holds with the sensors still lying.
     c.settle(Seconds{0.5}, kDt);
-    const int64_t settled = c.safetyMonitor().totalEmergencies();
+    const int64_t settled = c.totalEmergencies();
     const Watts staticPower = meanPower(c, options.measure);
     point.postEmergencies =
-        c.safetyMonitor().totalEmergencies() - settled;
+        c.totalEmergencies() - settled;
     point.efficiencyDeltaPct =
         adaptivePower > Watts{0.0}
             ? 100.0 * (staticPower - adaptivePower) / adaptivePower

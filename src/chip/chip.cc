@@ -33,32 +33,35 @@ Chip::Chip(const ChipConfig &config, pdn::Vrm *vrm)
           ir.coreCount = config.coreCount;
           return ir;
       }()),
-      didt_(config.didt, config.seed, 0xD1D7ull),
+      didt_(config.didt),
       cpms_(&curve_, config.cpm, config.coreCount, config.seed,
             config.cpmsPerCore),
       telemetry_(config.coreCount, config.telemetry),
-      undervoltCtl_(config.undervolt),
+      undervoltCtl_(config.undervolt), dpll_(&curve_, config.dpll),
+      safety_(config.safety),
       droopHistogram_(0.0, config.droopHistogramMax.value(),
-                      config.droopHistogramBins),
-      safety_(config.safety)
+                      config.droopHistogramBins)
 {
     config_.validate();
     fatalIf(vrm_ == nullptr, "chip needs a VRM");
     fatalIf(config_.railIndex >= vrm_->railCount(),
             "chip rail index out of range for the VRM");
 
-    dplls_.reserve(config_.coreCount);
-    for (size_t i = 0; i < config_.coreCount; ++i)
-        dplls_.emplace_back(&curve_, config_.dpll, config_.targetFrequency);
-
+    const size_t n = config_.coreCount;
+    state_.mode = config_.mode;
+    state_.commandedMode = config_.mode;
+    state_.targetFrequency = config_.targetFrequency;
+    state_.temperature = thermal_.ambient();
     const Volts v0 = curve_.vddStatic(config_.targetFrequency);
-    state_.coreVoltage.assign(config_.coreCount, v0);
-    state_.coreCtrlVoltage.assign(config_.coreCount, v0);
-    state_.coreCurrent.assign(config_.coreCount, Amps{});
-    state_.droopStall.assign(config_.coreCount, Seconds{});
-
-    loads_.assign(config_.coreCount, CoreLoad::idle());
-    decomposition_.assign(config_.coreCount, pdn::DropDecomposition());
+    state_.loads.assign(n, CoreLoad::idle());
+    state_.decomposition.assign(n, pdn::DropDecomposition());
+    state_.coreVoltage.assign(n, v0);
+    state_.coreCtrlVoltage.assign(n, v0);
+    state_.coreCurrent.assign(n, Amps{});
+    state_.droopStall.assign(n, Seconds{});
+    state_.dpll.assign(n, clock::Dpll::State{config_.targetFrequency});
+    state_.didtRng = Rng(config_.seed, 0xD1D7ull);
+    state_.telemetry = telemetry_.initialState();
 
     scratchTypAmps_.assign(config_.coreCount, Volts{});
     scratchWorstAmps_.assign(config_.coreCount, Volts{});
@@ -101,14 +104,14 @@ Chip::setLoad(size_t core, const CoreLoad &load)
     fatalIf(load.gated && load.active, "a gated core cannot be active");
     fatalIf(load.active && load.activity <= 0.0,
             "active core needs positive activity");
-    loads_[core] = load;
+    state_.loads[core] = load;
     ++stateEpoch_;
 }
 
 void
 Chip::clearLoads()
 {
-    loads_.assign(config_.coreCount, CoreLoad::idle());
+    state_.loads.assign(config_.coreCount, CoreLoad::idle());
     ++stateEpoch_;
 }
 
@@ -116,7 +119,7 @@ const CoreLoad &
 Chip::load(size_t core) const
 {
     panicIf(core >= config_.coreCount, "core index out of range");
-    return loads_[core];
+    return state_.loads[core];
 }
 
 void
@@ -125,15 +128,15 @@ Chip::setMode(GuardbandMode mode)
     // An explicit operator command overrides the safety monitor's
     // memory: the watchdog re-arms fresh for the new mode.
     applyMode(mode);
-    demotedFrom_ = mode;
-    safety_.reset();
+    state_.commandedMode = mode;
+    state_.safety = SafetyMonitor::State{};
     state_.latchedDroopDepth = Volts{0.0};
 }
 
 void
 Chip::applyMode(GuardbandMode mode)
 {
-    const GuardbandMode previous = config_.mode;
+    const GuardbandMode previous = state_.mode;
     obsModeTransitions_->add();
     if (obs::tracingEnabled()) {
         obs::TraceEvent event = chipEvent(obs::TraceKind::ModeTransition,
@@ -144,15 +147,15 @@ Chip::applyMode(GuardbandMode mode)
                        guardbandModeName(mode);
         obs::emit(std::move(event));
     }
-    config_.mode = mode;
-    const Hertz target = config_.targetFrequency;
+    state_.mode = mode;
+    const Hertz target = state_.targetFrequency;
     state_.staticSetpoint = curve_.vddStatic(target);
     vrm_->setSetpoint(config_.railIndex, state_.staticSetpoint);
     state_.sinceFirmware = Seconds{};
-    for (auto &dpll : dplls_) {
-        dpll.lockTo(target);
-        dpll.setCap(mode == GuardbandMode::AdaptiveUndervolt ? target
-                                                             : Hertz{});
+    for (clock::Dpll::State &core : state_.dpll) {
+        dpll_.lockTo(core, target);
+        core.cap = mode == GuardbandMode::AdaptiveUndervolt ? target
+                                                            : Hertz{};
     }
     ++stateEpoch_;
 }
@@ -163,14 +166,14 @@ Chip::setTargetFrequency(Hertz f)
     fatalIf(f <= Hertz{0.0}, "target frequency must be positive");
     fatalIf(f > curve_.params().refFrequency,
             "target frequency above the DVFS range");
-    config_.targetFrequency = f;
-    setMode(config_.mode);
+    state_.targetFrequency = f;
+    setMode(state_.mode);
 }
 
 void
 Chip::forceSetpoint(Volts v)
 {
-    fatalIf(config_.mode != GuardbandMode::Disabled,
+    fatalIf(state_.mode != GuardbandMode::Disabled,
             "forceSetpoint is only legal in Disabled mode");
     vrm_->setSetpoint(config_.railIndex, v);
     ++stateEpoch_;
@@ -203,7 +206,7 @@ Chip::solveElectrical()
     // Leakage's temperature factor is the same for every core, the
     // uncore and every iteration: one exp2 per solve.
     const double leakTemp =
-        powerModel_.leakageTemperatureFactor(thermal_.temperature());
+        powerModel_.leakageTemperatureFactor(state_.temperature);
     Volts *const cv = state_.coreVoltage.data();
     Amps *const cc = state_.coreCurrent.data();
     Amps &railCurrent = state_.railCurrent;
@@ -213,7 +216,7 @@ Chip::solveElectrical()
         const Volts previousRailVoltage = railVoltage;
         Watts total;
         for (size_t i = 0; i < n; ++i) {
-            const CoreLoad &load = loads_[i];
+            const CoreLoad &load = state_.loads[i];
             Watts p;
             if (load.gated) {
                 p = powerModel_.coreLeakage(railVoltage, leakTemp, true);
@@ -221,7 +224,7 @@ Chip::solveElectrical()
                 const double activity = load.active
                                             ? load.activity
                                             : powerModel_.idleActivity();
-                const Hertz f = dplls_[i].frequency();
+                const Hertz f = state_.dpll[i].frequency;
                 p = powerModel_.coreDynamic(cv[i], f, activity) +
                     powerModel_.coreLeakage(cv[i], leakTemp, false);
             }
@@ -269,7 +272,7 @@ Chip::solveElectrical()
 void
 Chip::runFirmware()
 {
-    if (config_.mode != GuardbandMode::AdaptiveUndervolt)
+    if (state_.mode != GuardbandMode::AdaptiveUndervolt)
         return;
     // The firmware watches the worst (slowest) non-gated core: the chip
     // shares one Vdd rail, so the neediest core dictates the voltage
@@ -279,20 +282,20 @@ Chip::runFirmware()
     bool anyOn = false;
     const Volts *const ctrl = state_.coreCtrlVoltage.data();
     for (size_t i = 0; i < config_.coreCount; ++i) {
-        if (loads_[i].gated)
+        if (state_.loads[i].gated)
             continue;
         anyOn = true;
         // The firmware sees what the core's CPMs report: the residual
         // calibration error — and any injected sensor fault — biases
         // its view of the margin.
         const Volts seen = cpms_.bank(i).controlVoltage(
-            ctrl[i], config_.targetFrequency);
+            ctrl[i], state_.targetFrequency);
         achievable = std::min(achievable, curve_.fmaxWithMargin(seen));
     }
     if (!anyOn)
         return;
     const Volts next = undervoltCtl_.decide(setpoint(), achievable,
-                                            config_.targetFrequency,
+                                            state_.targetFrequency,
                                             staticSetpoint());
     vrm_->setSetpoint(config_.railIndex, next);
 }
@@ -302,10 +305,10 @@ Chip::fillDidtAmps(double droopDepthScale)
 {
     const size_t n = config_.coreCount;
     for (size_t i = 0; i < n; ++i) {
-        if (loads_[i].active) {
-            scratchTypAmps_[i] = loads_[i].didtTypicalAmp;
-            scratchWorstAmps_[i] = loads_[i].didtWorstAmp *
-                                   droopDepthScale;
+        const CoreLoad &load = state_.loads[i];
+        if (load.active) {
+            scratchTypAmps_[i] = load.didtTypicalAmp;
+            scratchWorstAmps_[i] = load.didtWorstAmp * droopDepthScale;
         } else {
             scratchTypAmps_[i] = Volts{};
             scratchWorstAmps_[i] = Volts{};
@@ -326,8 +329,8 @@ Chip::stepSensePhase(Seconds dt)
         faultInjector_->advance(dt);
         applyFaults();
         const bool faultActive = faultInjector_->active().any;
-        if (faultActive != lastFaultActive_) {
-            lastFaultActive_ = faultActive;
+        if (faultActive != state_.lastFaultActive) {
+            state_.lastFaultActive = faultActive;
             if (obs::tracingEnabled()) {
                 obs::TraceEvent event = chipEvent(
                     obs::TraceKind::FaultChange, simTime(),
@@ -339,7 +342,7 @@ Chip::stepSensePhase(Seconds dt)
         }
     }
 
-    thermal_.step(state_.chipPower, dt);
+    thermal_.step(state_.temperature, state_.chipPower, dt);
     {
         obs::ScopedTimer timer(obsSolverTimer_);
         solveElectrical();
@@ -356,8 +359,8 @@ Chip::stepSensePhase(Seconds dt)
         droopDepthScale = faultInjector_->active().droopDepthScale;
     }
     fillDidtAmps(droopDepthScale);
-    pendingNoise_ = didt_.step(scratchTypAmps_, scratchWorstAmps_, dt,
-                               droopRateScale);
+    pendingNoise_ = didt_.step(state_.didtRng, scratchTypAmps_,
+                               scratchWorstAmps_, dt, droopRateScale);
     pendingWorstCharacteristic_ = didt_.worstDepth(scratchWorstAmps_);
     if (pendingNoise_.droopEvents > 0) {
         droopHistogram_.add(pendingNoise_.worstDroop.value());
@@ -382,6 +385,9 @@ Chip::stepControlPhase(Seconds dt)
     Volts *const cv = state_.coreVoltage.data();
     Volts *const ctrl = state_.coreCtrlVoltage.data();
     Seconds *const stall = state_.droopStall.data();
+    pdn::DropDecomposition *const decomposition =
+        state_.decomposition.data();
+    const Hertz target = state_.targetFrequency;
     const Amps railCurrent = state_.railCurrent;
     const Volts railVoltage = vrm_->outputAt(config_.railIndex,
                                              railCurrent);
@@ -399,42 +405,41 @@ Chip::stepControlPhase(Seconds dt)
         ctrl[i] = cv[i] - config_.rippleTrackingLoss * noise.typicalMean;
         stall[i] = Seconds{};
 
-        if (loads_[i].gated) {
+        if (state_.loads[i].gated) {
             // A gated core's CPMs are dark; AMESTER reports the detector
             // pegged high (no load, no clock).
             obs.sampleCpm[i] = config_.cpm.positions - 1;
             obs.stickyCpm[i] = config_.cpm.positions - 1;
             obs.coreVoltage[i] = railVoltage;
             obs.coreFrequency[i] = Hertz{};
-            decomposition_[i] = pdn::DropDecomposition();
-            decomposition_[i].loadline = loadlineDrop;
-            decomposition_[i].irGlobal = globalDrop;
+            decomposition[i] = pdn::DropDecomposition();
+            decomposition[i].loadline = loadlineDrop;
+            decomposition[i].irGlobal = globalDrop;
             continue;
         }
 
         // The control path reads at the DVFS target, and so does the
         // sensing path whenever the DPLL runs there.
         sensors::CpmBank &bank = cpms_.bank(i);
-        bank.memoize(config_.targetFrequency);
-        switch (config_.mode) {
+        bank.memoize(target);
+        clock::Dpll::State &core = state_.dpll[i];
+        switch (state_.mode) {
           case GuardbandMode::StaticGuardband:
           case GuardbandMode::Disabled:
-            dplls_[i].lockTo(config_.targetFrequency);
+            dpll_.lockTo(core, target);
             break;
           case GuardbandMode::AdaptiveOverclock:
           case GuardbandMode::AdaptiveUndervolt:
             // The DPLL follows its core's worst CPM, so the residual
             // calibration error — and any injected sensor fault —
             // tilts the margin it preserves.
-            dplls_[i].step(bank.controlVoltage(ctrl[i],
-                                               config_.targetFrequency),
-                           dt);
-            stall[i] = dplls_[i].droopStall(noise.worstDroop,
-                                            noise.droopEvents);
+            dpll_.step(core, bank.controlVoltage(ctrl[i], target), dt);
+            stall[i] = dpll_.droopStall(core.frequency, noise.worstDroop,
+                                        noise.droopEvents);
             break;
         }
 
-        const Hertz f = dplls_[i].frequency();
+        const Hertz f = core.frequency;
         const Volts vInstant = cv[i] - noise.typicalNow;
         const Volts vSticky = cv[i] -
             std::max(noise.typicalNow, noise.worstDroop);
@@ -447,11 +452,11 @@ Chip::stepControlPhase(Seconds dt)
         obs.coreVoltage[i] = cv[i];
         obs.coreFrequency[i] = f;
 
-        decomposition_[i].loadline = loadlineDrop;
-        decomposition_[i].irGlobal = globalDrop;
-        decomposition_[i].irLocal = scratchLocalDrop_[i];
-        decomposition_[i].typicalDidt = noise.typicalMean;
-        decomposition_[i].worstDidt = pendingWorstCharacteristic_;
+        decomposition[i].loadline = loadlineDrop;
+        decomposition[i].irGlobal = globalDrop;
+        decomposition[i].irLocal = scratchLocalDrop_[i];
+        decomposition[i].typicalDidt = noise.typicalMean;
+        decomposition[i].worstDidt = pendingWorstCharacteristic_;
     }
 
     // Droop-response accounting: every core whose DPLL rode through a
@@ -487,14 +492,14 @@ Chip::stepCommitPhase(Seconds dt)
     obs.chipPower = state_.chipPower;
     obs.railCurrent = state_.railCurrent;
     obs.setpoint = setpoint();
-    obs.decomposition = decomposition_[0];
-    obs.timingEmergencies = lastEmergencies_;
-    obs.safetyDemotions = lastDemotions_;
-    obs.safetyRearms = lastRearms_;
+    obs.decomposition = state_.decomposition[0];
+    obs.timingEmergencies = state_.lastEmergencies;
+    obs.safetyDemotions = state_.lastDemotions;
+    obs.safetyRearms = state_.lastRearms;
     obs.worstMargin = state_.lastWorstMargin;
     {
         obs::ScopedTimer timer(obsTelemetryTimer_);
-        telemetry_.step(obs, dt);
+        telemetry_.step(state_.telemetry, obs, dt);
     }
 
     Seconds &sinceFirmware = state_.sinceFirmware;
@@ -527,7 +532,7 @@ Chip::firmwareTick()
     // decision entirely; the loop coasts on the last setpoint.
     if (faultInjector_ != nullptr &&
         faultInjector_->active().firmwareStall) {
-        ++missedFirmwareTicks_;
+        ++state_.missedFirmwareTicks;
         obsMissedTicks_->add();
         stalled = true;
     } else {
@@ -561,8 +566,8 @@ Chip::fastForward(int64_t maxTicks, Seconds dt)
     const size_t n = config_.coreCount;
     const Seconds interval = config_.firmwareInterval;
     const bool adaptive =
-        config_.mode == GuardbandMode::AdaptiveUndervolt ||
-        config_.mode == GuardbandMode::AdaptiveOverclock;
+        state_.mode == GuardbandMode::AdaptiveUndervolt ||
+        state_.mode == GuardbandMode::AdaptiveOverclock;
 
     int64_t consumed = 0;
     while (consumed < maxTicks) {
@@ -587,7 +592,7 @@ Chip::fastForward(int64_t maxTicks, Seconds dt)
 
         // The thermal RC step composes exponentially, so one span-long
         // step is exactly k dt-long steps at the held power.
-        thermal_.step(state_.chipPower, span);
+        thermal_.step(state_.temperature, state_.chipPower, span);
 
         // Aggregate di/dt over the span: the arrival process is
         // Poisson, so one draw with rate*span replaces k per-tick
@@ -600,8 +605,8 @@ Chip::fastForward(int64_t maxTicks, Seconds dt)
         }
         fillDidtAmps(droopDepthScale);
         const pdn::DidtSample noise =
-            didt_.step(scratchTypAmps_, scratchWorstAmps_, span,
-                       droopRateScale);
+            didt_.step(state_.didtRng, scratchTypAmps_, scratchWorstAmps_,
+                       span, droopRateScale);
         const Volts envelope = didt_.worstDepth(scratchWorstAmps_);
         if (noise.droopEvents > 0) {
             droopHistogram_.add(noise.worstDroop.value());
@@ -621,7 +626,7 @@ Chip::fastForward(int64_t maxTicks, Seconds dt)
         Volts worst = curve_.params().staticGuardband;
         bool anyCore = false;
         for (size_t i = 0; i < n; ++i) {
-            if (loads_[i].gated)
+            if (state_.loads[i].gated)
                 continue;
             const bool loopProtects = adaptive && !cpms_.bank(i).blind();
             const Volts sag = loopProtects
@@ -629,25 +634,26 @@ Chip::fastForward(int64_t maxTicks, Seconds dt)
                                   : std::max(noise.typicalMean,
                                              envelopeDroop);
             const Volts margin = (cv[i] - sag) -
-                                 curve_.vminAt(dplls_[i].frequency());
+                                 curve_.vminAt(state_.dpll[i].frequency);
             if (!anyCore || margin < worst)
                 worst = margin;
             anyCore = true;
             if (margin < -safety_.params().marginTolerance)
                 ++emergencies;
         }
-        lastEmergencies_ = emergencies;
+        state_.lastEmergencies = emergencies;
         state_.lastWorstMargin = worst;
-        lastDemotions_ = 0;
-        lastRearms_ = 0;
+        state_.lastDemotions = 0;
+        state_.lastRearms = 0;
         if (emergencies > 0)
             obsEmergencies_->add(emergencies);
         // One observation covering the span keeps the watchdog's
         // re-arm hysteresis clock aligned with simulated time.
-        applySafetyAction(safety_.observe(emergencies > 0, adaptive,
-                                          span),
+        applySafetyAction(safety_.observe(state_.safety, emergencies > 0,
+                                          adaptive, span),
                           emergencies);
-        const bool modeChanged = lastDemotions_ > 0 || lastRearms_ > 0;
+        const bool modeChanged =
+            state_.lastDemotions > 0 || state_.lastRearms > 0;
 
         // Telemetry: the held observation weighted by the span lands in
         // the same windows the exact path would have filled (window
@@ -656,14 +662,14 @@ Chip::fastForward(int64_t maxTicks, Seconds dt)
         obs.chipPower = state_.chipPower;
         obs.railCurrent = state_.railCurrent;
         obs.setpoint = setpoint();
-        obs.decomposition = decomposition_[0];
-        obs.timingEmergencies = lastEmergencies_;
-        obs.safetyDemotions = lastDemotions_;
-        obs.safetyRearms = lastRearms_;
+        obs.decomposition = state_.decomposition[0];
+        obs.timingEmergencies = state_.lastEmergencies;
+        obs.safetyDemotions = state_.lastDemotions;
+        obs.safetyRearms = state_.lastRearms;
         obs.worstMargin = worst;
         {
             obs::ScopedTimer timer(obsTelemetryTimer_);
-            telemetry_.step(obs, span);
+            telemetry_.step(state_.telemetry, obs, span);
         }
 
         sinceFirmware += span;
@@ -696,7 +702,7 @@ Chip::attachFaultInjector(fault::FaultInjector *injector)
             injector->coreCount() != config_.coreCount,
             "fault injector core count does not match the chip");
     faultInjector_ = injector;
-    lastFaultActive_ = injector != nullptr && injector->active().any;
+    state_.lastFaultActive = injector != nullptr && injector->active().any;
     if (faultInjector_ == nullptr) {
         cpms_.clearFaults();
         vrm_->injectDacStuck(config_.railIndex, false);
@@ -723,8 +729,8 @@ Chip::runSafetyMonitor(const pdn::DidtSample &noise,
 {
     const size_t n = config_.coreCount;
     const bool adaptive =
-        config_.mode == GuardbandMode::AdaptiveUndervolt ||
-        config_.mode == GuardbandMode::AdaptiveOverclock;
+        state_.mode == GuardbandMode::AdaptiveUndervolt ||
+        state_.mode == GuardbandMode::AdaptiveOverclock;
 
     // A timing emergency is ground truth, not a sensor reading: the
     // committed operating point (voltage minus the guaranteed noise
@@ -748,7 +754,7 @@ Chip::runSafetyMonitor(const pdn::DidtSample &noise,
     const Volts envelopeDroop =
         noise.droopEvents > 0 ? worstCharacteristic : Volts{};
     for (size_t i = 0; i < n; ++i) {
-        if (loads_[i].gated)
+        if (state_.loads[i].gated)
             continue;
         const bool loopProtects = adaptive && !cpms_.bank(i).blind();
         const Volts sag = loopProtects
@@ -756,7 +762,7 @@ Chip::runSafetyMonitor(const pdn::DidtSample &noise,
                               : std::max(noise.typicalNow,
                                          envelopeDroop);
         const Volts margin = (cv[i] - sag) -
-                             curve_.vminAt(dplls_[i].frequency());
+                             curve_.vminAt(state_.dpll[i].frequency);
         if (!anyCore || margin < worst)
             worst = margin;
         anyCore = true;
@@ -766,14 +772,15 @@ Chip::runSafetyMonitor(const pdn::DidtSample &noise,
         if (margin < -safety_.params().marginTolerance)
             ++emergencies;
     }
-    lastEmergencies_ = emergencies;
+    state_.lastEmergencies = emergencies;
     state_.lastWorstMargin = worst;
-    lastDemotions_ = 0;
-    lastRearms_ = 0;
+    state_.lastDemotions = 0;
+    state_.lastRearms = 0;
     if (emergencies > 0)
         obsEmergencies_->add(emergencies);
 
-    applySafetyAction(safety_.observe(emergencies > 0, adaptive, dt),
+    applySafetyAction(safety_.observe(state_.safety, emergencies > 0,
+                                      adaptive, dt),
                       emergencies);
 }
 
@@ -786,9 +793,9 @@ Chip::applySafetyAction(SafetyMonitor::Action action, int emergencies)
       case SafetyMonitor::Action::Demote:
         // Graceful degradation: back to the full static guardband at
         // the commanded DVFS target. The commanded mode is remembered
-        // in demotedFrom_ for a later re-arm.
+        // in state_.commandedMode for a later re-arm.
         applyMode(GuardbandMode::StaticGuardband);
-        lastDemotions_ = 1;
+        state_.lastDemotions = 1;
         obsDemotions_->add();
         if (obs::tracingEnabled()) {
             obs::TraceEvent event = chipEvent(
@@ -796,36 +803,106 @@ Chip::applySafetyAction(SafetyMonitor::Action action, int emergencies)
                 config_.railIndex);
             event.a = double(emergencies);
             event.detail = std::string("demoted from ") +
-                           guardbandModeName(demotedFrom_);
+                           guardbandModeName(state_.commandedMode);
             obs::emit(std::move(event));
         }
         break;
       case SafetyMonitor::Action::Rearm:
-        applyMode(demotedFrom_);
-        lastRearms_ = 1;
+        applyMode(state_.commandedMode);
+        state_.lastRearms = 1;
         obsRearms_->add();
         if (obs::tracingEnabled()) {
             obs::TraceEvent event = chipEvent(obs::TraceKind::SafetyRearm,
                                               simTime(), config_.railIndex);
             event.detail = std::string("re-armed ") +
-                           guardbandModeName(demotedFrom_);
+                           guardbandModeName(state_.commandedMode);
             obs::emit(std::move(event));
         }
         break;
     }
 }
 
+void
+Chip::checkpointInto(ChipCheckpoint &cp) const
+{
+    cp.seed = config_.seed;
+    cp.coreCount = config_.coreCount;
+    cp.state = state_;
+    cp.railSetpoint = vrm_->setpoint(config_.railIndex);
+    cp.railLastCurrent = vrm_->sensedCurrent(config_.railIndex);
+    cp.hadInjector = faultInjector_ != nullptr;
+    cp.faultClock = faultInjector_ != nullptr ? faultInjector_->now()
+                                              : Seconds{0.0};
+}
+
+void
+Chip::restoreCheckpoint(const ChipCheckpoint &cp)
+{
+    // Everything is checked before anything is written, so a rejected
+    // checkpoint leaves the chip as it was.
+    const size_t n = config_.coreCount;
+    fatalIf(cp.coreCount != n,
+            "chip checkpoint core count does not match this chip");
+    fatalIf(cp.seed != config_.seed,
+            "chip checkpoint seed does not match this chip (a restored "
+            "chip must replay the same stochastic streams)");
+    const ChipState &s = cp.state;
+    const sensors::Telemetry::State &t = s.telemetry;
+    fatalIf(s.loads.size() != n || s.decomposition.size() != n ||
+                s.coreVoltage.size() != n || s.coreCtrlVoltage.size() != n ||
+                s.coreCurrent.size() != n || s.droopStall.size() != n ||
+                s.dpll.size() != n || t.lastSample.size() != n ||
+                t.stickyMin.size() != n || t.voltageSum.size() != n ||
+                t.frequencySum.size() != n,
+            "chip checkpoint per-core sizes do not match the core count");
+
+    state_ = s;
+    // Completed windows are the history a restarted server lost; the
+    // window in progress came back with the state.
+    telemetry_.clearWindows();
+    vrm_->restoreRail(config_.railIndex, cp.railSetpoint,
+                      cp.railLastCurrent);
+
+    // Mid-step sense-phase outputs are never checkpointed (checkpoints
+    // are taken between steps); clear them so a half-stepped chip
+    // cannot leak state across a restore.
+    pendingNoise_ = pdn::DidtSample{};
+    pendingWorstCharacteristic_ = Volts{0.0};
+
+    // Fault state: the rail restore above cleared injected VRM faults,
+    // so either re-apply the attached injector's active set at the
+    // restored clock or scrub the sensor models too. The fault-edge flag
+    // follows the injector this chip has, not the one it was taken with.
+    if (faultInjector_ != nullptr) {
+        if (cp.hadInjector)
+            faultInjector_->restoreClock(cp.faultClock);
+        else
+            faultInjector_->reset();
+        applyFaults();
+        state_.lastFaultActive = faultInjector_->active().any;
+    } else {
+        cpms_.clearFaults();
+        state_.lastFaultActive = false;
+    }
+
+    // The epoch bump is what keeps sampled fleet stepping honest: any
+    // phase detector watching this chip sees the transient and drops
+    // back to exact stepping instead of fast-forwarding across the
+    // restore edge.
+    ++stateEpoch_;
+}
+
 ChipHealthView
 Chip::healthView() const
 {
     ChipHealthView view;
-    view.state = safety_.state();
-    view.commandedMode = demotedFrom_;
-    view.effectiveMode = config_.mode;
-    view.demotions = safety_.demotionCount();
-    view.rearms = safety_.rearmCount();
-    view.emergencies = safety_.totalEmergencies();
-    view.rearmBudget = safety_.rearmBudget();
+    view.state = state_.safety.state;
+    view.commandedMode = state_.commandedMode;
+    view.effectiveMode = state_.mode;
+    view.demotions = state_.safety.demotions;
+    view.rearms = state_.safety.rearms;
+    view.emergencies = state_.safety.totalEmergencies;
+    view.rearmBudget = safety_.rearmBudget(state_.safety);
     view.latchedDroopDepth = state_.latchedDroopDepth;
     return view;
 }
@@ -843,9 +920,9 @@ Hertz
 Chip::coreFrequency(size_t core) const
 {
     panicIf(core >= config_.coreCount, "core index out of range");
-    if (loads_[core].gated)
+    if (state_.loads[core].gated)
         return Hertz{0.0};
-    return dplls_[core].frequency();
+    return state_.dpll[core].frequency;
 }
 
 Volts
@@ -861,12 +938,12 @@ Chip::meanActiveFrequency() const
     Hertz sum;
     size_t count = 0;
     for (size_t i = 0; i < config_.coreCount; ++i) {
-        if (loads_[i].active) {
-            sum += dplls_[i].frequency();
+        if (state_.loads[i].active) {
+            sum += state_.dpll[i].frequency;
             ++count;
         }
     }
-    return count == 0 ? config_.targetFrequency : sum / double(count);
+    return count == 0 ? state_.targetFrequency : sum / double(count);
 }
 
 Hertz
@@ -875,20 +952,20 @@ Chip::minActiveFrequency() const
     Hertz lowest;
     bool any = false;
     for (size_t i = 0; i < config_.coreCount; ++i) {
-        if (loads_[i].active) {
-            const Hertz f = dplls_[i].frequency();
+        if (state_.loads[i].active) {
+            const Hertz f = state_.dpll[i].frequency;
             lowest = any ? std::min(lowest, f) : f;
             any = true;
         }
     }
-    return any ? lowest : config_.targetFrequency;
+    return any ? lowest : state_.targetFrequency;
 }
 
 const pdn::DropDecomposition &
 Chip::decomposition(size_t core) const
 {
     panicIf(core >= config_.coreCount, "core index out of range");
-    return decomposition_[core];
+    return state_.decomposition[core];
 }
 
 Seconds
@@ -910,7 +987,7 @@ size_t
 Chip::activeCoreCount() const
 {
     size_t count = 0;
-    for (const auto &load : loads_) {
+    for (const CoreLoad &load : state_.loads) {
         if (load.active)
             ++count;
     }

@@ -15,12 +15,20 @@
  * The chip does not know about workloads or schedulers — the system layer
  * assigns CoreLoads before each step.
  *
- * Hot state: the values every tick touches (power accumulators,
- * firmware cadence, margins, the electrical solver's per-core vectors)
- * live in one ChipState the chip owns by value (chip/chip_state.h); a
- * checkpoint copies it whole. system::FleetStepper sweeps chips with
- * step() and fastForward(); the phase methods below are step() split in
- * three for per-phase timing.
+ * State: all of the chip's mutable model state (mode and DVFS target,
+ * loads, solver vectors, temperature, DPLLs, the di/dt stream, the
+ * safety monitor, the telemetry window in progress, bookkeeping) lives
+ * in one ChipState the chip owns by value (chip/chip_state.h). The
+ * components above keep only their parameters and exact-keyed memos
+ * and step the parts of the state the chip passes them; the config
+ * does not change after construction. What the chip holds beside the
+ * state is volatile or derived: the state epoch, completed telemetry
+ * windows, the droop histogram, obs handles, per-step scratch and the
+ * sense phase's pending outputs (chip_state.h says why each is out).
+ * A checkpoint copies the state whole.
+ *
+ * system::FleetStepper sweeps chips with step() and fastForward(); the
+ * phase methods below are step() split in three for per-phase timing.
  */
 
 #ifndef AGSIM_CHIP_CHIP_H
@@ -28,6 +36,7 @@
 
 #include <vector>
 
+#include "chip/chip_checkpoint.h"
 #include "chip/chip_config.h"
 #include "chip/chip_health.h"
 #include "chip/chip_state.h"
@@ -48,8 +57,6 @@
 #include "stats/histogram.h"
 
 namespace agsim::chip {
-
-struct ChipCheckpoint;
 
 /**
  * One simulated processor.
@@ -84,12 +91,12 @@ class Chip
     /** Switch guardband mode (resets the VRM setpoint appropriately). */
     void setMode(GuardbandMode mode);
 
-    GuardbandMode mode() const { return config_.mode; }
+    GuardbandMode mode() const { return state_.mode; }
 
     /** Change the DVFS target frequency (resets the static setpoint). */
     void setTargetFrequency(Hertz f);
 
-    Hertz targetFrequency() const { return config_.targetFrequency; }
+    Hertz targetFrequency() const { return state_.targetFrequency; }
 
     /**
      * Directly program the VRM setpoint — only legal in Disabled mode
@@ -112,38 +119,44 @@ class Chip
 
     fault::FaultInjector *faultInjector() const { return faultInjector_; }
 
-    /** The in-chip guardband watchdog. */
-    const SafetyMonitor &safetyMonitor() const { return safety_; }
-
     /** Whether the safety monitor currently holds the chip demoted. */
-    bool safetyDemoted() const { return demotedFrom_ != config_.mode; }
+    bool safetyDemoted() const
+    {
+        return state_.commandedMode != state_.mode;
+    }
 
     /**
      * The mode the chip is *supposed* to be in: the commanded mode if
      * the safety monitor demoted the chip, else the current mode.
      */
-    GuardbandMode commandedMode() const { return demotedFrom_; }
+    GuardbandMode commandedMode() const { return state_.commandedMode; }
 
     /** Timing emergencies from the last step (cores below vmin). */
-    int lastStepEmergencies() const { return lastEmergencies_; }
+    int lastStepEmergencies() const { return state_.lastEmergencies; }
 
     /** Worst true timing margin across non-gated cores, last step. */
     Volts lastWorstMargin() const { return state_.lastWorstMargin; }
 
     /** Firmware decisions suppressed by injected stalls. */
-    int64_t missedFirmwareTicks() const { return missedFirmwareTicks_; }
+    int64_t missedFirmwareTicks() const
+    {
+        return state_.missedFirmwareTicks;
+    }
 
     /** @name Public safety telemetry (scheduler/CSV-facing) */
     /// @{
 
     /** Timing emergencies since the last operator mode command. */
-    int64_t totalEmergencies() const { return safety_.totalEmergencies(); }
+    int64_t totalEmergencies() const
+    {
+        return state_.safety.totalEmergencies;
+    }
 
     /** Safety demotions since the last operator mode command. */
-    int64_t totalDemotions() const { return safety_.demotionCount(); }
+    int64_t totalDemotions() const { return state_.safety.demotions; }
 
     /** Safety re-arms since the last operator mode command. */
-    int64_t totalRearms() const { return safety_.rearmCount(); }
+    int64_t totalRearms() const { return state_.safety.rearms; }
 
     /**
      * Deepest worst-case droop seen since the last operator mode
@@ -224,30 +237,45 @@ class Chip
      */
     void settle(Seconds duration = Seconds{1.5}, Seconds dt = Seconds{1e-3});
 
-    /** @name Checkpoint / restore (see chip/chip_checkpoint.h)
+    /** @name State, checkpoint and restore (see chip/chip_checkpoint.h)
      *
-     * A checkpoint captures everything a restarted server needs to
-     * resume this chip deterministically: the ChipState hot state,
-     * loads, drop decomposition, component state (thermal node, di/dt
-     * RNG stream, DPLLs, safety monitor, in-progress telemetry, VRM
-     * rail), firmware counters, and the fault-injector clock. A
+     * A checkpoint is one copy of the ChipState plus the VRM rail's
+     * setpoint and current and the fault-injector clock: everything a
+     * restarted server needs to resume this chip deterministically. A
      * restore onto a same-config chip followed by identical steps is
-     * bit-identical to the checkpointed chip continuing (test-enforced
-     * in tests/test_checkpoint.cc). Completed telemetry windows, the
-     * droop histogram, and obs state are NOT captured — a restarted
-     * server's RAM-resident history is gone by definition.
+     * bit-identical to the checkpointed chip continuing, and the two
+     * states compare equal after every step (test-enforced in
+     * tests/test_checkpoint.cc). Completed telemetry windows, the droop
+     * histogram, and obs state are NOT captured — a restarted server's
+     * RAM-resident history is gone by definition.
      */
     /// @{
 
+    /** All of the chip's mutable model state. */
+    const ChipState &state() const { return state_; }
+
     /** Snapshot the full resumable state. Side-effect free. */
-    ChipCheckpoint checkpoint() const;
+    ChipCheckpoint checkpoint() const
+    {
+        ChipCheckpoint cp;
+        checkpointInto(cp);
+        return cp;
+    }
 
     /**
-     * Restore a snapshot taken from a chip with the same config
-     * (coreCount and seed are verified; mismatch throws ConfigError).
-     * Bumps stateEpoch() so fleet phase detectors drop to exact
-     * stepping; if a fault injector is attached its clock is restored
-     * and active faults re-applied.
+     * checkpoint() into an existing value, reusing its vectors'
+     * capacity (the recovery manager refreshes each socket's stored
+     * checkpoint this way).
+     */
+    void checkpointInto(ChipCheckpoint &cp) const;
+
+    /**
+     * Restore a snapshot taken from a chip with the same config.
+     * Everything is checked before anything is written: a coreCount or
+     * seed mismatch, or any per-core vector of the wrong length, throws
+     * ConfigError and leaves the chip as it was. Bumps stateEpoch() so
+     * fleet phase detectors drop to exact stepping; if a fault injector
+     * is attached its clock is restored and active faults re-applied.
      */
     void restoreCheckpoint(const ChipCheckpoint &checkpoint);
 
@@ -292,7 +320,7 @@ class Chip
     const pdn::DropDecomposition &decomposition(size_t core) const;
 
     /** Junction temperature. */
-    Celsius temperature() const { return thermal_.temperature(); }
+    Celsius temperature() const { return state_.temperature; }
 
     /**
      * Simulation time accumulated since construction (the stamp on
@@ -376,7 +404,7 @@ class Chip
     /** Fill the step's di/dt amplitude scratch from the loads. */
     void fillDidtAmps(double droopDepthScale);
 
-    ChipConfig config_;
+    const ChipConfig config_;
     pdn::Vrm *vrm_;
 
     power::VfCurve curve_;
@@ -387,12 +415,10 @@ class Chip
     sensors::ChipCpmArray cpms_;
     sensors::Telemetry telemetry_;
     UndervoltController undervoltCtl_;
-    std::vector<clock::Dpll> dplls_;
+    clock::Dpll dpll_;
+    SafetyMonitor safety_;
 
-    std::vector<CoreLoad> loads_;
-    std::vector<pdn::DropDecomposition> decomposition_;
-
-    // Hot per-tick state (see file comment).
+    // All mutable model state (see file comment).
     ChipState state_;
 
     // Preallocated scratch reused every step() so the steady-state hot
@@ -409,23 +435,13 @@ class Chip
 
     stats::Histogram droopHistogram_;
 
-    // Fault injection and safety degradation.
     fault::FaultInjector *faultInjector_ = nullptr;
-    SafetyMonitor safety_;
-    // The user-commanded mode; differs from config_.mode only while the
-    // safety monitor holds the chip demoted to StaticGuardband.
-    GuardbandMode demotedFrom_ = GuardbandMode::StaticGuardband;
-    int lastEmergencies_ = 0;
-    int lastDemotions_ = 0;
-    int lastRearms_ = 0;
-    int64_t missedFirmwareTicks_ = 0;
     uint64_t stateEpoch_ = 0;
 
     // Observability (see docs/OBSERVABILITY.md). All of this is
     // write-only from the model's perspective: nothing below feeds back
     // into simulation state, so instrumented and plain runs are
     // bit-identical (tests/test_obs_determinism.cc).
-    bool lastFaultActive_ = false;
     obs::Counter *obsSteps_ = nullptr;
     obs::Counter *obsFirmwareTicks_ = nullptr;
     obs::Counter *obsMissedTicks_ = nullptr;

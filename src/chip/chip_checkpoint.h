@@ -4,22 +4,25 @@
  *
  * The recovery subsystem (src/recovery/) restarts failed servers from
  * periodic checkpoints instead of from cold, so a restored chip must
- * continue *bit-identically* to the chip that was checkpointed. That
- * forces the snapshot to capture every piece of state the step path
- * reads: the chip's ChipState (copied whole), per-core loads and drop
- * decomposition (Chip::fastForward re-reads the last solved
- * decomposition), the thermal node, the di/dt RNG stream (including a
- * cached Box-Muller draw), per-core DPLL frequency/cap, the safety-
- * monitor state machine, the in-progress telemetry accumulators, the
- * VRM rail electricals, firmware bookkeeping counters, and the
- * fault-injector clock.
+ * continue *bit-identically* to the chip that was checkpointed. A
+ * checkpoint is the identity guards, one copy of the chip's ChipState
+ * (chip/chip_state.h: every mutable model value the step path reads),
+ * and the three values that live outside the chip:
+ *  - the VRM rail's setpoint and last sensed current. The VRM is the
+ *    server's object, shared by its sockets and driven directly by
+ *    tests and benches, so the rail stays in pdn::Vrm and is restored
+ *    through Vrm::restoreRail;
+ *  - the attached fault injector's clock, restored through
+ *    FaultInjector::restoreClock.
  *
- * Deliberately excluded (a restarted server's volatile history):
- * completed telemetry windows, the droop histogram, obs metrics/trace
- * state, and the per-step scratch buffers (recomputed every tick).
+ * Deliberately excluded (a restarted server's volatile history, or
+ * values recomputed every tick): completed telemetry windows, the
+ * droop histogram, obs metrics and trace state, the per-step scratch,
+ * and the exact-keyed CPM and thermal memos.
  *
  * The struct is a plain in-memory value with no serialized form: the
- * recovery manager stores it per socket and hands it straight back to
+ * recovery manager stores it per socket, refreshes it in place with
+ * Chip::checkpointInto, and hands it straight back to
  * Chip::restoreCheckpoint.
  */
 
@@ -27,16 +30,9 @@
 #define AGSIM_CHIP_CHIP_CHECKPOINT_H
 
 #include <cstdint>
-#include <vector>
 
-#include "chip/chip_config.h"
 #include "chip/chip_state.h"
-#include "chip/core_load.h"
-#include "chip/safety_monitor.h"
-#include "common/rng.h"
 #include "common/units.h"
-#include "pdn/decomposition.h"
-#include "sensors/telemetry.h"
 
 namespace agsim::chip {
 
@@ -49,48 +45,18 @@ struct ChipCheckpoint
     uint64_t coreCount = 0;
     /// @}
 
-    /** @name Mode / target state */
-    /// @{
-    GuardbandMode mode = GuardbandMode::StaticGuardband;
-    /** The user-commanded mode (differs from mode while demoted). */
-    GuardbandMode commandedMode = GuardbandMode::StaticGuardband;
-    Hertz targetFrequency = Hertz{0.0};
-    /// @}
-
-    /** The chip's hot per-tick state (see chip/chip_state.h). */
+    /** The chip's mutable model state, copied whole. */
     ChipState state;
 
-    /** @name Scheduler-visible and solver state */
+    /** @name Outside the chip */
     /// @{
-    std::vector<CoreLoad> loads;
-    std::vector<pdn::DropDecomposition> decomposition;
-    /// @}
-
-    /** @name Component state */
-    /// @{
-    Celsius temperature = Celsius{0.0};
-    Rng::State didtRng;
-    SafetyMonitor::Snapshot safety;
-    sensors::Telemetry::Snapshot telemetry;
-    std::vector<Hertz> dpllFrequency;
-    std::vector<Hertz> dpllCap;
     /** This chip's VRM rail: programmed setpoint and sensed current. */
     Volts railSetpoint = Volts{0.0};
     Amps railLastCurrent = Amps{0.0};
-    /// @}
-
-    /** @name Firmware / fault bookkeeping */
-    /// @{
-    int lastEmergencies = 0;
-    int lastDemotions = 0;
-    int lastRearms = 0;
-    int64_t missedFirmwareTicks = 0;
     /** Whether a fault injector was attached at checkpoint time. */
     bool hadInjector = false;
     /** The injector's clock at checkpoint time (0 if none). */
     Seconds faultClock = Seconds{0.0};
-    /** Last-step fault-active flag (obs edge detection). */
-    bool lastFaultActive = false;
     /// @}
 };
 

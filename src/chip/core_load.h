@@ -57,6 +57,8 @@ struct CoreLoad
         load.didtWorstAmp = didtWorst;
         return load;
     }
+
+    bool operator==(const CoreLoad &) const = default;
 };
 
 } // namespace agsim::chip

@@ -46,40 +46,41 @@ SafetyMonitor::SafetyMonitor(const SafetyMonitorParams &params)
 }
 
 SafetyMonitor::Action
-SafetyMonitor::observe(bool emergency, bool adaptiveMode, Seconds dt)
+SafetyMonitor::observe(State &m, bool emergency, bool adaptiveMode,
+                       Seconds dt) const
 {
     panicIf(dt <= Seconds{0.0}, "safety monitor step must be positive");
-    now_ += dt;
+    m.now += dt;
     if (emergency)
-        ++totalEmergencies_;
+        ++m.totalEmergencies;
 
-    switch (state_) {
+    switch (m.state) {
       case SafetyState::Monitoring: {
         if (!adaptiveMode) {
             // Nothing to demote: keep counters honest but stay quiet.
-            windowEmergencies_ = 0;
-            windowStart_ = now_;
+            m.windowEmergencies = 0;
+            m.windowStart = m.now;
             return Action::None;
         }
-        if (now_ - windowStart_ >= params_.windowLength) {
-            windowStart_ = now_;
-            windowEmergencies_ = 0;
+        if (m.now - m.windowStart >= params_.windowLength) {
+            m.windowStart = m.now;
+            m.windowEmergencies = 0;
         }
         if (!emergency)
             return Action::None;
-        ++windowEmergencies_;
+        ++m.windowEmergencies;
         if (!params_.enabled ||
-            windowEmergencies_ < params_.emergencyBudget) {
+            m.windowEmergencies < params_.emergencyBudget) {
             return Action::None;
         }
-        ++demotions_;
-        lastDemotionAt_ = now_;
-        cleanSince_ = now_;
-        windowEmergencies_ = 0;
-        state_ = (params_.maxRearms >= 0 &&
-                  demotions_ > params_.maxRearms)
-                     ? SafetyState::Latched
-                     : SafetyState::Demoted;
+        ++m.demotions;
+        m.lastDemotionAt = m.now;
+        m.cleanSince = m.now;
+        m.windowEmergencies = 0;
+        m.state = (params_.maxRearms >= 0 &&
+                   m.demotions > params_.maxRearms)
+                      ? SafetyState::Latched
+                      : SafetyState::Demoted;
         return Action::Demote;
       }
 
@@ -89,17 +90,18 @@ SafetyMonitor::observe(bool emergency, bool adaptiveMode, Seconds dt)
         // demotedRestartFraction of the accumulated clean time (1.0 =
         // restart the clean clock from zero).
         if (emergency) {
-            cleanSince_ = now_ - (now_ - cleanSince_) *
-                                     (1.0 - params_.demotedRestartFraction);
+            m.cleanSince = m.now - (m.now - m.cleanSince) *
+                                       (1.0 - params_.demotedRestartFraction);
             return Action::None;
         }
-        const Seconds required = params_.rearmInterval * backoffMultiplier();
-        if (now_ - cleanSince_ < required)
+        const Seconds required =
+            params_.rearmInterval * backoffMultiplier(m);
+        if (m.now - m.cleanSince < required)
             return Action::None;
-        ++rearms_;
-        state_ = SafetyState::Monitoring;
-        windowStart_ = now_;
-        windowEmergencies_ = 0;
+        ++m.rearms;
+        m.state = SafetyState::Monitoring;
+        m.windowStart = m.now;
+        m.windowEmergencies = 0;
         return Action::Rearm;
       }
 
@@ -110,23 +112,23 @@ SafetyMonitor::observe(bool emergency, bool adaptiveMode, Seconds dt)
 }
 
 double
-SafetyMonitor::backoffMultiplier() const
+SafetyMonitor::backoffMultiplier(const State &m) const
 {
     double multiplier =
-        std::pow(params_.rearmBackoff, double(demotions_ - 1));
+        std::pow(params_.rearmBackoff, double(m.demotions - 1));
     if (params_.rearmBackoffCap > 0.0)
         multiplier = std::min(multiplier, params_.rearmBackoffCap);
     return multiplier;
 }
 
 Seconds
-SafetyMonitor::requiredCleanInterval() const
+SafetyMonitor::requiredCleanInterval(const State &m) const
 {
-    switch (state_) {
+    switch (m.state) {
       case SafetyState::Monitoring:
         return Seconds{0.0};
       case SafetyState::Demoted:
-        return params_.rearmInterval * backoffMultiplier();
+        return params_.rearmInterval * backoffMultiplier(m);
       case SafetyState::Latched:
         return Seconds{-1.0};
     }
@@ -134,57 +136,13 @@ SafetyMonitor::requiredCleanInterval() const
 }
 
 Seconds
-SafetyMonitor::rearmBudget() const
+SafetyMonitor::rearmBudget(const State &m) const
 {
-    if (state_ != SafetyState::Demoted)
-        return requiredCleanInterval();
-    const Seconds remaining = requiredCleanInterval() -
-                              (now_ - cleanSince_);
+    if (m.state != SafetyState::Demoted)
+        return requiredCleanInterval(m);
+    const Seconds remaining = requiredCleanInterval(m) -
+                              (m.now - m.cleanSince);
     return std::max(remaining, Seconds{0.0});
-}
-
-SafetyMonitor::Snapshot
-SafetyMonitor::snapshot() const
-{
-    Snapshot s;
-    s.state = state_;
-    s.now = now_;
-    s.windowStart = windowStart_;
-    s.cleanSince = cleanSince_;
-    s.windowEmergencies = windowEmergencies_;
-    s.totalEmergencies = totalEmergencies_;
-    s.demotions = demotions_;
-    s.rearms = rearms_;
-    s.lastDemotionAt = lastDemotionAt_;
-    return s;
-}
-
-void
-SafetyMonitor::restore(const Snapshot &snapshot)
-{
-    state_ = snapshot.state;
-    now_ = snapshot.now;
-    windowStart_ = snapshot.windowStart;
-    cleanSince_ = snapshot.cleanSince;
-    windowEmergencies_ = snapshot.windowEmergencies;
-    totalEmergencies_ = snapshot.totalEmergencies;
-    demotions_ = snapshot.demotions;
-    rearms_ = snapshot.rearms;
-    lastDemotionAt_ = snapshot.lastDemotionAt;
-}
-
-void
-SafetyMonitor::reset()
-{
-    state_ = SafetyState::Monitoring;
-    now_ = Seconds{};
-    windowStart_ = Seconds{};
-    cleanSince_ = Seconds{};
-    windowEmergencies_ = 0;
-    totalEmergencies_ = 0;
-    demotions_ = 0;
-    rearms_ = 0;
-    lastDemotionAt_ = Seconds{-1.0};
 }
 
 } // namespace agsim::chip

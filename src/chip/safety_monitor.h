@@ -27,7 +27,9 @@
  *
  * The monitor is a pure state machine over (emergency?, dt) inputs so
  * it is unit-testable without a chip; Chip::step() owns the margin
- * computation and applies the returned actions.
+ * computation and applies the returned actions. The monitor holds its
+ * parameters only: the machine's state is a SafetyMonitor::State the
+ * caller owns (a chip keeps it in its ChipState) and observe() steps.
  */
 
 #ifndef AGSIM_CHIP_SAFETY_MONITOR_H
@@ -121,6 +123,33 @@ class SafetyMonitor
         Rearm,
     };
 
+    /**
+     * The machine's state. A default State is a freshly armed monitor;
+     * assigning one forgets all history (the chip does so when the
+     * user commands a mode change: an explicit operator decision
+     * overrides the watchdog's memory).
+     */
+    struct State
+    {
+        SafetyState state = SafetyState::Monitoring;
+        /** Monitor time (sum of observed dt). */
+        Seconds now = Seconds{0.0};
+        Seconds windowStart = Seconds{0.0};
+        Seconds cleanSince = Seconds{0.0};
+        /** Emergencies in the current counting window. */
+        int windowEmergencies = 0;
+        /** Emergencies since the last reset (any mode). */
+        int64_t totalEmergencies = 0;
+        /** Demotions since the last reset. */
+        int64_t demotions = 0;
+        /** Re-arms since the last reset. */
+        int64_t rearms = 0;
+        /** Time of the most recent demotion (-1 if none). */
+        Seconds lastDemotionAt = Seconds{-1.0};
+
+        bool operator==(const State &) const = default;
+    };
+
     explicit SafetyMonitor(const SafetyMonitorParams &params =
                                SafetyMonitorParams());
 
@@ -129,6 +158,7 @@ class SafetyMonitor
     /**
      * Feed one simulation step.
      *
+     * @param state The machine to advance.
      * @param emergency Whether any core saw a timing emergency.
      * @param adaptiveMode Whether the chip is in a demotable (adaptive)
      *        mode right now. Emergencies are always counted; demotion
@@ -136,31 +166,14 @@ class SafetyMonitor
      * @param dt Step length.
      * @return Action the chip must apply (effective next step).
      */
-    Action observe(bool emergency, bool adaptiveMode, Seconds dt);
-
-    SafetyState state() const { return state_; }
-
-    /** Monitor time (sum of observed dt). */
-    Seconds now() const { return now_; }
-
-    /** @name Telemetry counters */
-    /// @{
-    /** Emergencies since construction/reset (any mode). */
-    int64_t totalEmergencies() const { return totalEmergencies_; }
-    /** Emergencies in the current counting window. */
-    int windowEmergencies() const { return windowEmergencies_; }
-    /** Demotions since construction/reset. */
-    int64_t demotionCount() const { return demotions_; }
-    /** Re-arms since construction/reset. */
-    int64_t rearmCount() const { return rearms_; }
-    /** Time of the most recent demotion (-1 if none). */
-    Seconds lastDemotionAt() const { return lastDemotionAt_; }
+    Action observe(State &state, bool emergency, bool adaptiveMode,
+                   Seconds dt) const;
 
     /**
      * Full clean interval the current demotion must wait out (re-arm
      * backoff applied); zero while Monitoring, negative once Latched.
      */
-    Seconds requiredCleanInterval() const;
+    Seconds requiredCleanInterval(const State &state) const;
 
     /**
      * Clean time still owed before the next re-arm attempt: zero while
@@ -169,54 +182,13 @@ class SafetyMonitor
      * (no budget will ever re-arm the chip). This is the scheduler's
      * "how long until this chip might come back" signal.
      */
-    Seconds rearmBudget() const;
-    /// @}
-
-    /**
-     * Forget all history and re-arm (the chip calls this when the user
-     * commands a mode change: an explicit operator decision overrides
-     * the watchdog's memory).
-     */
-    void reset();
-
-    /**
-     * Complete machine state for chip checkpoints. Parameters are not
-     * part of the snapshot — they belong to the (immutable) config the
-     * restored chip was built with.
-     */
-    struct Snapshot
-    {
-        SafetyState state = SafetyState::Monitoring;
-        Seconds now = Seconds{0.0};
-        Seconds windowStart = Seconds{0.0};
-        Seconds cleanSince = Seconds{0.0};
-        int windowEmergencies = 0;
-        int64_t totalEmergencies = 0;
-        int64_t demotions = 0;
-        int64_t rearms = 0;
-        Seconds lastDemotionAt = Seconds{-1.0};
-    };
-
-    /** Snapshot the full machine state (for checkpointing). */
-    Snapshot snapshot() const;
-
-    /** Restore a snapshotted machine state bit-exactly. */
-    void restore(const Snapshot &snapshot);
+    Seconds rearmBudget(const State &state) const;
 
   private:
     /** rearmBackoff^(demotions-1), clamped to rearmBackoffCap. */
-    double backoffMultiplier() const;
+    double backoffMultiplier(const State &state) const;
 
     SafetyMonitorParams params_;
-    SafetyState state_ = SafetyState::Monitoring;
-    Seconds now_ = Seconds{0.0};
-    Seconds windowStart_ = Seconds{0.0};
-    Seconds cleanSince_ = Seconds{0.0};
-    int windowEmergencies_ = 0;
-    int64_t totalEmergencies_ = 0;
-    int64_t demotions_ = 0;
-    int64_t rearms_ = 0;
-    Seconds lastDemotionAt_ = Seconds{-1.0};
 };
 
 } // namespace agsim::chip

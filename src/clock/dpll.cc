@@ -7,48 +7,47 @@
 
 namespace agsim::clock {
 
-Dpll::Dpll(const power::VfCurve *curve, const DpllParams &params,
-           Hertz initialFrequency)
-    : curve_(curve), params_(params), frequency_(initialFrequency)
+Dpll::Dpll(const power::VfCurve *curve, const DpllParams &params)
+    : curve_(curve), params_(params)
 {
     fatalIf(curve_ == nullptr, "DPLL needs a VfCurve");
     fatalIf(params_.slewPerSecond <= 0.0, "DPLL slew must be positive");
-    fatalIf(initialFrequency <= Hertz{0.0},
-            "DPLL initial frequency must be positive");
 }
 
 void
-Dpll::lockTo(Hertz f)
+Dpll::lockTo(State &core, Hertz f) const
 {
     panicIf(f <= Hertz{0.0}, "DPLL lock frequency must be positive");
-    frequency_ = f;
+    core.frequency = f;
 }
 
 Hertz
-Dpll::step(Volts vCore, Seconds dt)
+Dpll::step(State &core, Volts vCore, Seconds dt) const
 {
     panicIf(dt < Seconds{0.0}, "negative DPLL step");
     Hertz target = std::max(curve_->fmaxWithMargin(vCore),
                             params_.floorFrequency);
-    if (cap_ > Hertz{0.0})
-        target = std::min(target, cap_);
+    if (core.cap > Hertz{0.0})
+        target = std::min(target, core.cap);
 
     // Slew limit: |df| <= f * slewPerSecond * dt.
-    const Hertz maxDelta = frequency_ * (params_.slewPerSecond * dt.value());
-    const Hertz delta = std::clamp(target - frequency_, -maxDelta, maxDelta);
-    frequency_ += delta;
-    return frequency_;
+    const Hertz maxDelta =
+        core.frequency * (params_.slewPerSecond * dt.value());
+    const Hertz delta =
+        std::clamp(target - core.frequency, -maxDelta, maxDelta);
+    core.frequency += delta;
+    return core.frequency;
 }
 
 Seconds
-Dpll::droopStall(Volts droopDepth, int events) const
+Dpll::droopStall(Hertz frequency, Volts droopDepth, int events) const
 {
     if (events <= 0 || droopDepth <= Volts{0.0})
         return Seconds{0.0};
     // During each droop the DPLL undershoots by the frequency equivalent
     // of the droop depth for roughly the response time.
     const Hertz dip = curve_->marginToFrequency(droopDepth);
-    const double dipFraction = std::min(1.0, dip / frequency_);
+    const double dipFraction = std::min(1.0, dip / frequency);
     return dipFraction * params_.droopResponseTime * double(events);
 }
 

@@ -31,61 +31,63 @@ struct DpllParams
 };
 
 /**
- * One core's frequency generator.
+ * The chip's per-core frequency generators.
  *
- * In adaptive modes the DPLL tracks the margin target; a frequency cap
- * lets the undervolting firmware pin performance at the nominal target
- * while voltage is lowered.
+ * In adaptive modes each core's DPLL tracks the margin target; a
+ * frequency cap lets the undervolting firmware pin performance at the
+ * nominal target while voltage is lowered. Every core of a chip shares
+ * one Dpll (the curve and the tunables); each core's output frequency
+ * and cap are a State the caller owns (a chip keeps them in its
+ * ChipState).
  */
 class Dpll
 {
   public:
+    /** One core's loop state. */
+    struct State
+    {
+        /** Current output frequency. */
+        Hertz frequency = Hertz{0.0};
+        /** Upper frequency cap (0 = uncapped). */
+        Hertz cap = Hertz{0.0};
+
+        bool operator==(const State &) const = default;
+    };
+
     /**
      * @param curve Shared V/f model (not owned).
      * @param params Loop tunables.
-     * @param initialFrequency Starting output frequency.
      */
-    Dpll(const power::VfCurve *curve, const DpllParams &params,
-         Hertz initialFrequency);
+    Dpll(const power::VfCurve *curve, const DpllParams &params);
 
-    /** Current output frequency. */
-    Hertz frequency() const { return frequency_; }
-
-    /** Set/clear an upper frequency cap (0 = uncapped). */
-    void setCap(Hertz cap) { cap_ = cap; }
-
-    /** Current frequency cap (0 = uncapped); for checkpointing. */
-    Hertz cap() const { return cap_; }
-
-    /** Force the output (static-guardband mode bypasses the loop). */
-    void lockTo(Hertz f);
+    /** Force a core's output (static-guardband mode bypasses the loop). */
+    void lockTo(State &core, Hertz f) const;
 
     /**
-     * One control step: slew toward the highest frequency that preserves
-     * the calibrated margin at on-chip voltage v.
+     * One control step of a core: slew toward the highest frequency
+     * that preserves the calibrated margin at on-chip voltage v.
      *
      * @return New output frequency.
      */
-    Hertz step(Volts vCore, Seconds dt);
+    Hertz step(State &core, Volts vCore, Seconds dt) const;
 
     /**
      * Account for worst-case droop events within a step: the DPLL dips to
      * protect timing, costing cycles.
      *
+     * @param frequency The core's output frequency.
      * @param droopDepth Depth of the deepest droop (volts).
      * @param events Number of droop events in the step.
      * @return Equivalent lost cycles, expressed in seconds of stall at
      *         the current frequency.
      */
-    Seconds droopStall(Volts droopDepth, int events) const;
+    Seconds droopStall(Hertz frequency, Volts droopDepth, int events) const;
 
     const DpllParams &params() const { return params_; }
 
   private:
     const power::VfCurve *curve_;
     DpllParams params_;
-    Hertz frequency_;
-    Hertz cap_ = Hertz{0.0};
 };
 
 } // namespace agsim::clock

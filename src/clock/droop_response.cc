@@ -50,7 +50,8 @@ simulateDroop(const power::VfCurve &curve, const DpllParams &dpll,
     DroopOutcome outcome;
     outcome.minMargin = curve.marginAt(preVoltage, clockFrequency);
 
-    Dpll loop(&curve, dpll, clockFrequency);
+    const Dpll loop(&curve, dpll);
+    Dpll::State core{clockFrequency};
     const size_t steps = size_t(sim.duration / sim.dt);
     outcome.trace.reserve(steps);
 
@@ -62,7 +63,8 @@ simulateDroop(const power::VfCurve &curve, const DpllParams &dpll,
         sample.voltage = waveformAt(preVoltage, event, sample.t);
         sample.fmax = curve.fmaxAt(sample.voltage);
         sample.clockFrequency =
-            adaptive ? loop.step(sample.voltage, sim.dt) : clockFrequency;
+            adaptive ? loop.step(core, sample.voltage, sim.dt)
+                     : clockFrequency;
         sample.violation = sample.clockFrequency > sample.fmax + Hertz{1.0};
         outcome.violated = outcome.violated || sample.violation;
         outcome.minMargin = std::min(

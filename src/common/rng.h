@@ -31,18 +31,6 @@ class Rng
 {
   public:
     /**
-     * Complete generator state — xoshiro words plus the Box-Muller
-     * cache — so checkpoint/restore reproduces the draw sequence
-     * bit-identically (including a pending cached normal).
-     */
-    struct State
-    {
-        std::array<uint64_t, 4> s{};
-        double cachedNormal = 0.0;
-        bool hasCachedNormal = false;
-    };
-
-    /**
      * Construct a generator.
      *
      * @param seed Experiment-level seed.
@@ -86,19 +74,12 @@ class Rng
     /** Re-seed in place (resets the cached normal draw too). */
     void reseed(uint64_t seed, uint64_t stream = 0);
 
-    /** Snapshot the full generator state (for checkpointing). */
-    State state() const
-    {
-        return State{state_, cachedNormal_, hasCachedNormal_};
-    }
-
-    /** Restore a previously-snapshotted state bit-exactly. */
-    void restoreState(const State &state)
-    {
-        state_ = state.s;
-        cachedNormal_ = state.cachedNormal;
-        hasCachedNormal_ = state.hasCachedNormal;
-    }
+    /**
+     * Same position in the same stream: equal generators draw equal
+     * sequences, including a pending cached normal. The generator is a
+     * plain value, so copying one is its checkpoint.
+     */
+    bool operator==(const Rng &other) const = default;
 
   private:
     std::array<uint64_t, 4> state_;

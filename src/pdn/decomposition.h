@@ -59,6 +59,8 @@ struct DropDecomposition
 
     /** Human-readable one-liner in millivolts. */
     std::string toString() const;
+
+    bool operator==(const DropDecomposition &) const = default;
 };
 
 } // namespace agsim::pdn

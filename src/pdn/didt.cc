@@ -7,8 +7,7 @@
 
 namespace agsim::pdn {
 
-DidtModel::DidtModel(const DidtParams &params, uint64_t seed, uint64_t stream)
-    : params_(params), rng_(seed, stream)
+DidtModel::DidtModel(const DidtParams &params) : params_(params)
 {
     fatalIf(params_.droopRatePerSecond < 0.0, "negative droop rate");
     fatalIf(params_.alignmentGrowth < 0.0, "negative alignment growth");
@@ -59,9 +58,9 @@ DidtModel::worstDepth(std::span<const Volts> worstAmps) const
 }
 
 DidtSample
-DidtModel::step(std::span<const Volts> typicalAmps,
+DidtModel::step(Rng &rng, std::span<const Volts> typicalAmps,
                 std::span<const Volts> worstAmps, Seconds dt,
-                double rateScale)
+                double rateScale) const
 {
     panicIf(typicalAmps.size() != worstAmps.size(),
             "didt amplitude vector size mismatch");
@@ -72,7 +71,7 @@ DidtModel::step(std::span<const Volts> typicalAmps,
     sample.typicalMean = typicalLevel(typicalAmps);
     if (sample.typicalMean > Volts{0.0}) {
         const double jitter =
-            1.0 + params_.rippleJitter * rng_.normal();
+            1.0 + params_.rippleJitter * rng.normal();
         sample.typicalNow = std::max(Volts{}, sample.typicalMean * jitter);
     }
 
@@ -81,14 +80,14 @@ DidtModel::step(std::span<const Volts> typicalAmps,
         const double rate = rateScale * params_.droopRatePerSecond *
                             (1.0 + params_.ratePerExtraCore *
                              double(active - 1));
-        sample.droopEvents = rng_.poisson(rate * dt.value());
+        sample.droopEvents = rng.poisson(rate * dt.value());
         if (sample.droopEvents > 0) {
             const Volts base = worstDepth(worstAmps);
             // Depth of the deepest of k events: apply positive-biased
             // jitter once per event and keep the max.
             for (int i = 0; i < sample.droopEvents; ++i) {
                 const double jitter =
-                    std::exp(params_.depthJitter * rng_.normal());
+                    std::exp(params_.depthJitter * rng.normal());
                 sample.worstDroop = std::max(sample.worstDroop,
                                              base * jitter);
             }

@@ -66,10 +66,7 @@ struct DidtSample
 class DidtModel
 {
   public:
-    DidtModel(const DidtParams &params, uint64_t seed, uint64_t stream = 0);
-    explicit DidtModel(const DidtParams &params = DidtParams())
-        : DidtModel(params, 0x5EEDu, 0)
-    {}
+    explicit DidtModel(const DidtParams &params = DidtParams());
 
     const DidtParams &params() const { return params_; }
 
@@ -91,7 +88,8 @@ class DidtModel
 
     /**
      * Advance one step: draw the instantaneous ripple and any worst-case
-     * droop arrivals within dt.
+     * droop arrivals within dt from the caller's stream (the chip keeps
+     * it in its ChipState).
      *
      * dt need not be one tick: the arrival process is Poisson, so a
      * span-long step draws Poisson(rate * span) events in one call —
@@ -101,24 +99,14 @@ class DidtModel
      *        injection's droop storms; 1.0 = nominal). Depth scaling is
      *        applied by the caller through the amplitude vectors.
      */
-    DidtSample step(std::span<const Volts> typicalAmps,
+    DidtSample step(Rng &rng, std::span<const Volts> typicalAmps,
                     std::span<const Volts> worstAmps, Seconds dt,
-                    double rateScale = 1.0);
-
-    /** Snapshot the draw-stream state (for chip checkpoints). */
-    Rng::State rngState() const { return rng_.state(); }
-
-    /** Restore a snapshotted draw-stream state bit-exactly. */
-    void restoreRngState(const Rng::State &state)
-    {
-        rng_.restoreState(state);
-    }
+                    double rateScale = 1.0) const;
 
   private:
     static size_t activeCount(std::span<const Volts> amps);
 
     DidtParams params_;
-    Rng rng_;
 };
 
 } // namespace agsim::pdn

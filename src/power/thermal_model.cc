@@ -7,7 +7,7 @@
 namespace agsim::power {
 
 ThermalModel::ThermalModel(const ThermalParams &params)
-    : params_(params), temperature_(params.ambient)
+    : params_(params)
 {
     fatalIf(params_.thermalResistance.value() < 0.0,
             "negative thermal resistance");
@@ -22,7 +22,7 @@ ThermalModel::steadyState(Watts power) const
 }
 
 void
-ThermalModel::step(Watts power, Seconds dt)
+ThermalModel::step(Celsius &temperature, Watts power, Seconds dt)
 {
     panicIf(dt < Seconds{0.0}, "negative thermal step");
     const Celsius target = steadyState(power);
@@ -30,19 +30,7 @@ ThermalModel::step(Watts power, Seconds dt)
         alphaDt_ = dt;
         alpha_ = 1.0 - std::exp(-dt / params_.timeConstant);
     }
-    temperature_ += (target - temperature_) * alpha_;
-}
-
-void
-ThermalModel::settle(Watts power)
-{
-    temperature_ = steadyState(power);
-}
-
-void
-ThermalModel::reset()
-{
-    temperature_ = params_.ambient;
+    temperature += (target - temperature) * alpha_;
 }
 
 } // namespace agsim::power

@@ -31,36 +31,26 @@ struct ThermalParams
 
 /**
  * Single-node RC thermal model: dT/dt = (T_ss(P) - T) / tau.
+ *
+ * The model holds parameters only; the node temperature belongs to the
+ * caller (a chip keeps it in its ChipState), and step() advances it.
  */
 class ThermalModel
 {
   public:
     explicit ThermalModel(const ThermalParams &params = ThermalParams());
 
-    /** Current junction temperature. */
-    Celsius temperature() const { return temperature_; }
+    /** The temperature a cold node starts at. */
+    Celsius ambient() const { return params_.ambient; }
 
     /** Steady-state temperature at the given power. */
     Celsius steadyState(Watts power) const;
 
-    /** Advance the node by dt under the given chip power. */
-    void step(Watts power, Seconds dt);
-
-    /** Jump straight to steady state (used for run warm-up). */
-    void settle(Watts power);
-
-    /** Reset to ambient. */
-    void reset();
-
-    /** Jump to an exact temperature (checkpoint restore). */
-    void restoreTemperature(Celsius temperature)
-    {
-        temperature_ = temperature;
-    }
+    /** Advance a node at `temperature` by dt under the given power. */
+    void step(Celsius &temperature, Watts power, Seconds dt);
 
   private:
     ThermalParams params_;
-    Celsius temperature_;
     // step()'s relaxation factor 1 - exp(-dt/tau), memoized on the
     // exact dt it was computed for (NaN: none yet).
     Seconds alphaDt_ = Seconds{std::numeric_limits<double>::quiet_NaN()};

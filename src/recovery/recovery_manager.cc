@@ -417,7 +417,7 @@ RecoveryManager::captureCheckpoints()
             now_ < interval * (1.0 + double(i) / double(servers_.size())))
             continue;
         for (size_t s = 0; s < record.server->socketCount(); ++s) {
-            record.checkpoints[s] = record.server->chip(s).checkpoint();
+            record.server->chip(s).checkpointInto(record.checkpoints[s]);
         }
         record.hasCheckpoint = true;
         record.lastCheckpointAt = now_;

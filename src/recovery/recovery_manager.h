@@ -8,8 +8,9 @@
  * server-scope half of the fault model (FaultScope::Server plans),
  * watches every server for step progress, restarts failed ones with
  * exponential-backoff probes, restores their chips from periodically
- * captured ChipCheckpoints (plain in-memory values: capture is a copy
- * and restore reads the stored value back), and walks a fleet-wide
+ * captured ChipCheckpoints (plain in-memory values: capture copies each
+ * chip's state into the stored value, reusing its vectors, and restore
+ * copies it back), and walks a fleet-wide
  * graceful-degradation ladder when failures arrive in correlated
  * storms.
  *

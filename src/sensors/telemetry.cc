@@ -13,14 +13,21 @@ Telemetry::Telemetry(size_t coreCount, const TelemetryParams &params)
     fatalIf(coreCount_ == 0, "telemetry needs at least one core");
     fatalIf(params_.windowLength <= Seconds{0.0},
             "telemetry window must be positive");
-    lastSample_.assign(coreCount_, 0);
-    stickyMin_.assign(coreCount_, std::numeric_limits<int>::max());
-    voltageSum_.assign(coreCount_, Mul<Volts, Seconds>{});
-    frequencySum_.assign(coreCount_, 0.0);
+}
+
+Telemetry::State
+Telemetry::initialState() const
+{
+    State state;
+    state.lastSample.assign(coreCount_, 0);
+    state.stickyMin.assign(coreCount_, std::numeric_limits<int>::max());
+    state.voltageSum.assign(coreCount_, Mul<Volts, Seconds>{});
+    state.frequencySum.assign(coreCount_, 0.0);
+    return state;
 }
 
 void
-Telemetry::step(const StepObservation &obs, Seconds dt)
+Telemetry::step(State &state, const StepObservation &obs, Seconds dt)
 {
     panicIf(obs.sampleCpm.size() != coreCount_ ||
             obs.stickyCpm.size() != coreCount_ ||
@@ -29,77 +36,81 @@ Telemetry::step(const StepObservation &obs, Seconds dt)
             "telemetry observation size mismatch");
     panicIf(dt <= Seconds{0.0}, "telemetry step must be positive");
 
-    now_ += dt;
-    windowElapsed_ += dt;
-    weightSum_ += dt;
+    state.now += dt;
+    state.windowElapsed += dt;
+    state.weightSum += dt;
 
     for (size_t core = 0; core < coreCount_; ++core) {
-        lastSample_[core] = obs.sampleCpm[core];
-        stickyMin_[core] = std::min(stickyMin_[core], obs.stickyCpm[core]);
-        voltageSum_[core] += obs.coreVoltage[core] * dt;
-        frequencySum_[core] += obs.coreFrequency[core] * dt;
+        state.lastSample[core] = obs.sampleCpm[core];
+        state.stickyMin[core] =
+            std::min(state.stickyMin[core], obs.stickyCpm[core]);
+        state.voltageSum[core] += obs.coreVoltage[core] * dt;
+        state.frequencySum[core] += obs.coreFrequency[core] * dt;
     }
-    powerSum_ += obs.chipPower * dt;
-    currentSum_ += obs.railCurrent * dt;
-    setpointSum_ += obs.setpoint * dt;
-    decompositionSum_ =
-        decompositionSum_ + obs.decomposition.scaled(dt.value());
-    emergencySum_ += obs.timingEmergencies;
-    demotionSum_ += obs.safetyDemotions;
-    rearmSum_ += obs.safetyRearms;
-    if (!marginSeen_ || obs.worstMargin < marginMin_) {
-        marginMin_ = obs.worstMargin;
-        marginSeen_ = true;
+    state.powerSum += obs.chipPower * dt;
+    state.currentSum += obs.railCurrent * dt;
+    state.setpointSum += obs.setpoint * dt;
+    state.decompositionSum =
+        state.decompositionSum + obs.decomposition.scaled(dt.value());
+    state.emergencySum += obs.timingEmergencies;
+    state.demotionSum += obs.safetyDemotions;
+    state.rearmSum += obs.safetyRearms;
+    if (!state.marginSeen || obs.worstMargin < state.marginMin) {
+        state.marginMin = obs.worstMargin;
+        state.marginSeen = true;
     }
 
     // Close as many windows as the elapsed time covers (dt is normally
     // much smaller than the window, so at most one).
-    while (windowElapsed_ >= params_.windowLength - Seconds{1e-12}) {
-        closeWindow();
-        windowElapsed_ -= params_.windowLength;
+    while (state.windowElapsed >= params_.windowLength - Seconds{1e-12}) {
+        closeWindow(state);
+        state.windowElapsed -= params_.windowLength;
     }
 }
 
 void
-Telemetry::closeWindow()
+Telemetry::closeWindow(State &state)
 {
     TelemetryWindow window;
-    window.time = now_;
-    window.sampleCpm = lastSample_;
-    window.stickyCpm = stickyMin_;
+    window.time = state.now;
+    window.sampleCpm = state.lastSample;
+    window.stickyCpm = state.stickyMin;
     window.meanCoreVoltage.resize(coreCount_);
     window.meanCoreFrequency.resize(coreCount_);
-    const Seconds w = weightSum_ > Seconds{} ? weightSum_ : Seconds{1.0};
+    const Seconds w =
+        state.weightSum > Seconds{} ? state.weightSum : Seconds{1.0};
     for (size_t core = 0; core < coreCount_; ++core) {
-        window.meanCoreVoltage[core] = voltageSum_[core] / w;
-        window.meanCoreFrequency[core] = Hertz{frequencySum_[core] / w.value()};
+        window.meanCoreVoltage[core] = state.voltageSum[core] / w;
+        window.meanCoreFrequency[core] =
+            Hertz{state.frequencySum[core] / w.value()};
     }
-    window.meanChipPower = powerSum_ / w;
-    window.meanRailCurrent = currentSum_ / w;
-    window.meanSetpoint = setpointSum_ / w;
-    window.meanDecomposition = decompositionSum_.scaled(1.0 / w.value());
-    window.emergencyCount = emergencySum_;
-    window.demotionCount = demotionSum_;
-    window.rearmCount = rearmSum_;
-    window.worstMargin = marginSeen_ ? marginMin_ : Volts{};
+    window.meanChipPower = state.powerSum / w;
+    window.meanRailCurrent = state.currentSum / w;
+    window.meanSetpoint = state.setpointSum / w;
+    window.meanDecomposition =
+        state.decompositionSum.scaled(1.0 / w.value());
+    window.emergencyCount = state.emergencySum;
+    window.demotionCount = state.demotionSum;
+    window.rearmCount = state.rearmSum;
+    window.worstMargin = state.marginSeen ? state.marginMin : Volts{};
     windows_.push_back(std::move(window));
     if (params_.maxWindows > 0 && windows_.size() > params_.maxWindows)
         windows_.erase(windows_.begin());
 
     // Reset in-progress accumulation.
-    stickyMin_.assign(coreCount_, std::numeric_limits<int>::max());
-    voltageSum_.assign(coreCount_, Mul<Volts, Seconds>{});
-    frequencySum_.assign(coreCount_, 0.0);
-    powerSum_ = Joules{};
-    currentSum_ = Mul<Amps, Seconds>{};
-    setpointSum_ = Mul<Volts, Seconds>{};
-    decompositionSum_ = pdn::DropDecomposition();
-    weightSum_ = Seconds{};
-    emergencySum_ = 0;
-    demotionSum_ = 0;
-    rearmSum_ = 0;
-    marginMin_ = Volts{0.0};
-    marginSeen_ = false;
+    state.stickyMin.assign(coreCount_, std::numeric_limits<int>::max());
+    state.voltageSum.assign(coreCount_, Mul<Volts, Seconds>{});
+    state.frequencySum.assign(coreCount_, 0.0);
+    state.powerSum = Joules{};
+    state.currentSum = Mul<Amps, Seconds>{};
+    state.setpointSum = Mul<Volts, Seconds>{};
+    state.decompositionSum = pdn::DropDecomposition();
+    state.weightSum = Seconds{};
+    state.emergencySum = 0;
+    state.demotionSum = 0;
+    state.rearmSum = 0;
+    state.marginMin = Volts{0.0};
+    state.marginSeen = false;
 }
 
 const TelemetryWindow &
@@ -112,56 +123,6 @@ Telemetry::latest() const
 void
 Telemetry::clearWindows()
 {
-    windows_.clear();
-}
-
-Telemetry::Snapshot
-Telemetry::snapshot() const
-{
-    Snapshot s;
-    s.now = now_;
-    s.windowElapsed = windowElapsed_;
-    s.lastSample = lastSample_;
-    s.stickyMin = stickyMin_;
-    s.voltageSum = voltageSum_;
-    s.frequencySum = frequencySum_;
-    s.powerSum = powerSum_;
-    s.currentSum = currentSum_;
-    s.setpointSum = setpointSum_;
-    s.decompositionSum = decompositionSum_;
-    s.weightSum = weightSum_;
-    s.emergencySum = emergencySum_;
-    s.demotionSum = demotionSum_;
-    s.rearmSum = rearmSum_;
-    s.marginMin = marginMin_;
-    s.marginSeen = marginSeen_;
-    return s;
-}
-
-void
-Telemetry::restore(const Snapshot &snapshot)
-{
-    panicIf(snapshot.lastSample.size() != coreCount_ ||
-                snapshot.stickyMin.size() != coreCount_ ||
-                snapshot.voltageSum.size() != coreCount_ ||
-                snapshot.frequencySum.size() != coreCount_,
-            "telemetry snapshot core count mismatch");
-    now_ = snapshot.now;
-    windowElapsed_ = snapshot.windowElapsed;
-    lastSample_ = snapshot.lastSample;
-    stickyMin_ = snapshot.stickyMin;
-    voltageSum_ = snapshot.voltageSum;
-    frequencySum_ = snapshot.frequencySum;
-    powerSum_ = snapshot.powerSum;
-    currentSum_ = snapshot.currentSum;
-    setpointSum_ = snapshot.setpointSum;
-    decompositionSum_ = snapshot.decompositionSum;
-    weightSum_ = snapshot.weightSum;
-    emergencySum_ = snapshot.emergencySum;
-    demotionSum_ = snapshot.demotionSum;
-    rearmSum_ = snapshot.rearmSum;
-    marginMin_ = snapshot.marginMin;
-    marginSeen_ = snapshot.marginSeen;
     windows_.clear();
 }
 

@@ -10,6 +10,11 @@
  *    window (captures worst-case droops).
  * This layer reproduces those semantics over the simulated sensors, plus
  * the Vdd-rail power and VRM current sensors used in Sec. 3/4.
+ *
+ * The window in progress is a Telemetry::State the caller owns (a chip
+ * keeps it in its ChipState, so a checkpoint carries it); Telemetry
+ * itself keeps its parameters and the completed windows, the history a
+ * restarted server loses.
  */
 
 #ifndef AGSIM_SENSORS_TELEMETRY_H
@@ -109,40 +114,18 @@ struct TelemetryWindow
 class Telemetry
 {
   public:
-    explicit Telemetry(size_t coreCount,
-                       const TelemetryParams &params = TelemetryParams());
-
-    /** Feed one simulation step of duration dt. */
-    void step(const StepObservation &obs, Seconds dt);
-
-    /** Completed windows so far (oldest first). */
-    const std::vector<TelemetryWindow> &windows() const { return windows_; }
-
-    /** Most recent completed window. */
-    const TelemetryWindow &latest() const;
-
-    /** Whether at least one window completed. */
-    bool hasWindows() const { return !windows_.empty(); }
-
-    /** Drop all completed windows (keeps the in-progress one). */
-    void clearWindows();
-
-    const TelemetryParams &params() const { return params_; }
-
-    /**
-     * In-progress aggregation state for chip checkpoints: the clock and
-     * every partial-window accumulator, but *not* the completed-window
-     * store — a restarted server's RAM-resident history is gone; only
-     * the partial window matters for deterministic resume.
-     */
-    struct Snapshot
+    /** The window in progress: the clock and every accumulator. */
+    struct State
     {
         Seconds now = Seconds{0.0};
         Seconds windowElapsed = Seconds{0.0};
         std::vector<int> lastSample;
         std::vector<int> stickyMin;
+        // Time-weighted accumulators: quantity x seconds, so the mean
+        // falls out with the right dimension at window close (e.g.
+        // W*s / s -> W).
         std::vector<Mul<Volts, Seconds>> voltageSum;
-        std::vector<double> frequencySum;
+        std::vector<double> frequencySum; // Hz*s is dimensionless (cycles)
         Joules powerSum = Joules{0.0};
         Mul<Amps, Seconds> currentSum{};
         Mul<Volts, Seconds> setpointSum{};
@@ -153,44 +136,38 @@ class Telemetry
         long rearmSum = 0;
         Volts marginMin = Volts{0.0};
         bool marginSeen = false;
+
+        bool operator==(const State &) const = default;
     };
 
-    /** Snapshot the in-progress aggregation state. */
-    Snapshot snapshot() const;
+    explicit Telemetry(size_t coreCount,
+                       const TelemetryParams &params = TelemetryParams());
 
-    /**
-     * Restore a snapshotted aggregation state bit-exactly and drop all
-     * completed windows (see Snapshot): subsequent windows are exactly
-     * those the checkpointed chip would have produced.
-     */
-    void restore(const Snapshot &snapshot);
+    /** An empty window at time zero, sized for this chip's cores. */
+    State initialState() const;
+
+    /** Feed one simulation step of duration dt into `state`. */
+    void step(State &state, const StepObservation &obs, Seconds dt);
+
+    /** Completed windows so far (oldest first). */
+    const std::vector<TelemetryWindow> &windows() const { return windows_; }
+
+    /** Most recent completed window. */
+    const TelemetryWindow &latest() const;
+
+    /** Whether at least one window completed. */
+    bool hasWindows() const { return !windows_.empty(); }
+
+    /** Drop all completed windows (the window in progress is kept). */
+    void clearWindows();
+
+    const TelemetryParams &params() const { return params_; }
 
   private:
-    void closeWindow();
+    void closeWindow(State &state);
 
     TelemetryParams params_;
     size_t coreCount_;
-    Seconds now_ = Seconds{0.0};
-    Seconds windowElapsed_ = Seconds{0.0};
-
-    // In-progress accumulation.
-    std::vector<int> lastSample_;
-    std::vector<int> stickyMin_;
-    // Time-weighted accumulators: quantity x seconds, so the mean falls
-    // out with the right dimension at window close (e.g. W*s / s -> W).
-    std::vector<Mul<Volts, Seconds>> voltageSum_;
-    std::vector<double> frequencySum_; // Hz*s is dimensionless (cycles)
-    Joules powerSum_;
-    Mul<Amps, Seconds> currentSum_;
-    Mul<Volts, Seconds> setpointSum_;
-    pdn::DropDecomposition decompositionSum_;
-    Seconds weightSum_;
-    long emergencySum_ = 0;
-    long demotionSum_ = 0;
-    long rearmSum_ = 0;
-    Volts marginMin_ = Volts{0.0};
-    bool marginSeen_ = false;
-
     std::vector<TelemetryWindow> windows_;
 };
 

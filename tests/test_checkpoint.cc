@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "chip/chip.h"
 #include "chip/chip_checkpoint.h"
@@ -246,9 +247,131 @@ TEST(ChipCheckpoint, RestoreRejectsIdentityMismatch)
     wrongCores.coreCount += 1;
     EXPECT_THROW(c->restoreCheckpoint(wrongCores), ConfigError);
 
-    chip::ChipCheckpoint wrongLength = c->checkpoint();
-    wrongLength.state.coreVoltage.pop_back();
-    EXPECT_THROW(c->restoreCheckpoint(wrongLength), ConfigError);
+    // Every per-core vector is checked before anything is written. The
+    // chip moves on after the capture, so a restore that wrote part of
+    // the checkpoint before rejecting it would leave a different state.
+    const chip::ChipCheckpoint earlier = c->checkpoint();
+    for (int64_t t = 0; t < 20; ++t)
+        c->step(kDt);
+    const chip::ChipState before = c->state();
+    ASSERT_FALSE(before == earlier.state);
+    using Shorten = void (*)(chip::ChipState &);
+    const std::pair<const char *, Shorten> shortenings[] = {
+        {"loads", [](chip::ChipState &s) { s.loads.pop_back(); }},
+        {"decomposition",
+         [](chip::ChipState &s) { s.decomposition.pop_back(); }},
+        {"coreVoltage", [](chip::ChipState &s) { s.coreVoltage.pop_back(); }},
+        {"coreCtrlVoltage",
+         [](chip::ChipState &s) { s.coreCtrlVoltage.pop_back(); }},
+        {"coreCurrent", [](chip::ChipState &s) { s.coreCurrent.pop_back(); }},
+        {"droopStall", [](chip::ChipState &s) { s.droopStall.pop_back(); }},
+        {"dpll", [](chip::ChipState &s) { s.dpll.pop_back(); }},
+        {"telemetry.lastSample",
+         [](chip::ChipState &s) { s.telemetry.lastSample.pop_back(); }},
+        {"telemetry.stickyMin",
+         [](chip::ChipState &s) { s.telemetry.stickyMin.pop_back(); }},
+        {"telemetry.voltageSum",
+         [](chip::ChipState &s) { s.telemetry.voltageSum.pop_back(); }},
+        {"telemetry.frequencySum",
+         [](chip::ChipState &s) { s.telemetry.frequencySum.pop_back(); }},
+    };
+    for (const auto &[name, shorten] : shortenings) {
+        chip::ChipCheckpoint wrongLength = earlier;
+        shorten(wrongLength.state);
+        EXPECT_THROW(c->restoreCheckpoint(wrongLength), ConfigError)
+            << name;
+        EXPECT_TRUE(c->state() == before) << name;
+    }
+}
+
+/**
+ * The completeness check for ChipState: a chip restored from another
+ * chip's checkpoint holds a state equal to the source's after every
+ * tick, across fault onsets and expiries, a safety demotion and re-arm,
+ * fastForward spans and a second restore. State kept outside ChipState
+ * (or left out of the copy) shows up as the first unequal tick.
+ */
+TEST(ChipCheckpoint, RestoredStateEqualsTheSourceAfterEveryTick)
+{
+    chip::ChipConfig config = testConfig();
+    config.undervolt.maxUndervolt = Volts{0.120};
+    config.safety.rearmInterval = Seconds{0.1};
+
+    fault::FaultPlan plan;
+    plan.droopStorm(Seconds{0.06}, Seconds{0.08}, 4.0, 1.5);
+    plan.cpmStuckAt(Seconds{0.10}, Seconds{0.05}, 2, 1);
+    plan.cpmOptimisticBias(Seconds{0.10}, Seconds{0.30}, Volts{40e-3});
+    plan.vrmDacOffset(Seconds{0.42}, Seconds{0.05}, Volts{-0.01});
+    plan.firmwareStall(Seconds{0.45}, Seconds{0.07});
+
+    pdn::Vrm vrmA(1);
+    pdn::Vrm vrmB(1);
+    chip::Chip a(config, &vrmA);
+    chip::Chip b(config, &vrmB);
+    fault::FaultInjector injectorA(plan, a.coreCount());
+    fault::FaultInjector injectorB(plan, b.coreCount());
+    a.attachFaultInjector(&injectorA);
+    b.attachFaultInjector(&injectorB);
+    for (size_t core = 0; core < 7; ++core)
+        a.setLoad(core, chip::CoreLoad::running(1.0, 13.0_mV, 24.0_mV));
+    a.setLoad(7, chip::CoreLoad::powerGated());
+
+    // B gets another history: other loads and target, the whole fault
+    // plan, and it stops on the tick of its re-arm, so even the
+    // per-step counters and the firmware-stall count differ from A's.
+    b.setTargetFrequency(Hertz{4.0e9});
+    for (size_t core = 0; core < 8; ++core)
+        b.setLoad(core, chip::CoreLoad::running(1.0, 13.0_mV, 24.0_mV));
+    for (int t = 0; t < 50; ++t)
+        a.step(kDt);
+    for (int t = 0; t < 3000 && b.totalRearms() == 0; ++t)
+        b.step(kDt);
+    ASSERT_EQ(b.totalRearms(), 1);
+    ASSERT_GT(b.missedFirmwareTicks(), 0);
+    ASSERT_FALSE(a.state() == b.state());
+
+    b.restoreCheckpoint(a.checkpoint());
+    ASSERT_TRUE(a.state() == b.state());
+
+    int ticks = 0;
+    auto lockstep = [&](int count) {
+        for (int t = 0; t < count; ++t, ++ticks) {
+            a.step(kDt);
+            b.step(kDt);
+            ASSERT_TRUE(a.state() == b.state())
+                << "states differ after tick " << ticks;
+        }
+    };
+
+    // Through every fault's onset and expiry, the demotion the biased
+    // CPMs cause and the re-arm after they clear.
+    lockstep(700);
+    if (HasFatalFailure())
+        return;
+    EXPECT_GE(a.totalDemotions(), 1);
+    EXPECT_GE(a.totalRearms(), 1);
+    EXPECT_GT(a.missedFirmwareTicks(), 0);
+    EXPECT_GT(a.latchedDroopDepth(), Volts{0.0});
+
+    // fastForward spans in the quiet tail.
+    for (int span = 0; span < 5; ++span) {
+        EXPECT_EQ(a.fastForward(100, kDt), b.fastForward(100, kDt));
+        ASSERT_TRUE(a.state() == b.state()) << "after span " << span;
+        lockstep(5);
+        if (HasFatalFailure())
+            return;
+    }
+
+    // A second restore, mid-run, after B wandered off again.
+    const chip::ChipCheckpoint midRun = a.checkpoint();
+    b.setMode(chip::GuardbandMode::StaticGuardband);
+    b.setLoad(7, chip::CoreLoad::running(0.7, 13.0_mV, 24.0_mV));
+    for (int t = 0; t < 30; ++t)
+        b.step(kDt);
+    ASSERT_FALSE(a.state() == b.state());
+    b.restoreCheckpoint(midRun);
+    ASSERT_TRUE(a.state() == b.state());
+    lockstep(300);
 }
 
 } // namespace

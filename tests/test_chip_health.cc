@@ -255,11 +255,10 @@ TEST(ChipHealthView, CsvSafetyCountersMatchChipTotals)
     EXPECT_EQ(sumCsvColumn(csv, "demotions"), rig.chip->totalDemotions());
     EXPECT_EQ(sumCsvColumn(csv, "rearms"), rig.chip->totalRearms());
 
-    // Counter facade parity with the underlying monitor.
+    // Counter facade parity with the underlying monitor state.
     EXPECT_EQ(rig.chip->totalEmergencies(),
-              rig.chip->safetyMonitor().totalEmergencies());
+              rig.chip->state().safety.totalEmergencies);
     EXPECT_EQ(rig.chip->totalDemotions(),
-              rig.chip->safetyMonitor().demotionCount());
-    EXPECT_EQ(rig.chip->totalRearms(),
-              rig.chip->safetyMonitor().rearmCount());
+              rig.chip->state().safety.demotions);
+    EXPECT_EQ(rig.chip->totalRearms(), rig.chip->state().safety.rearms);
 }

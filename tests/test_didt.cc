@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "common/units.h"
 #include "pdn/didt.h"
 
@@ -77,13 +78,15 @@ TEST(Didt, WorstDepthZeroWhenIdle)
 
 TEST(Didt, StepDeterministicBySeed)
 {
-    DidtModel a(DidtParams(), 7, 1);
-    DidtModel b(DidtParams(), 7, 1);
+    const DidtModel a;
+    const DidtModel b;
+    Rng rngA(7, 1);
+    Rng rngB(7, 1);
     const auto ta = amps(4, 12.0_mV);
     const auto wa = amps(4, 22.0_mV);
     for (int i = 0; i < 100; ++i) {
-        const auto sa = a.step(ta, wa, Seconds{1e-3});
-        const auto sb = b.step(ta, wa, Seconds{1e-3});
+        const auto sa = a.step(rngA, ta, wa, Seconds{1e-3});
+        const auto sb = b.step(rngB, ta, wa, Seconds{1e-3});
         ASSERT_DOUBLE_EQ(sa.typicalNow, sb.typicalNow);
         ASSERT_DOUBLE_EQ(sa.worstDroop, sb.worstDroop);
         ASSERT_EQ(sa.droopEvents, sb.droopEvents);
@@ -95,25 +98,27 @@ TEST(Didt, DroopArrivalRateMatchesConfig)
     DidtParams params;
     params.droopRatePerSecond = 4.0;
     params.ratePerExtraCore = 0.0;
-    DidtModel model(params, 13);
+    const DidtModel model(params);
+    Rng rng(13);
     const auto ta = amps(1, 12.0_mV);
     const auto wa = amps(1, 22.0_mV);
     int events = 0;
     const int steps = 100000; // 100 s at 1 ms
     for (int i = 0; i < steps; ++i)
-        events += model.step(ta, wa, Seconds{1e-3}).droopEvents;
+        events += model.step(rng, ta, wa, Seconds{1e-3}).droopEvents;
     EXPECT_NEAR(double(events) / 100.0, 4.0, 0.5);
 }
 
 TEST(Didt, DroopRateGrowsWithCores)
 {
-    DidtModel model(DidtParams(), 17);
-    auto countEvents = [&model](size_t active) {
+    const DidtModel model;
+    Rng rng(17);
+    auto countEvents = [&model, &rng](size_t active) {
         const auto ta = amps(active, 12.0_mV);
         const auto wa = amps(active, 22.0_mV);
         int events = 0;
         for (int i = 0; i < 50000; ++i)
-            events += model.step(ta, wa, Seconds{1e-3}).droopEvents;
+            events += model.step(rng, ta, wa, Seconds{1e-3}).droopEvents;
         return events;
     };
     const int one = countEvents(1);
@@ -123,13 +128,14 @@ TEST(Didt, DroopRateGrowsWithCores)
 
 TEST(Didt, TypicalSampleJittersAroundMean)
 {
-    DidtModel model(DidtParams(), 23);
+    const DidtModel model;
+    Rng rng(23);
     const auto ta = amps(4, 12.0_mV);
     const auto wa = amps(4, 22.0_mV);
     Volts sum = Volts{0.0};
     const int n = 20000;
     for (int i = 0; i < n; ++i) {
-        const auto s = model.step(ta, wa, Seconds{1e-3});
+        const auto s = model.step(rng, ta, wa, Seconds{1e-3});
         EXPECT_GE(s.typicalNow, Volts{0.0});
         sum += s.typicalNow;
     }
@@ -138,10 +144,11 @@ TEST(Didt, TypicalSampleJittersAroundMean)
 
 TEST(Didt, NoDroopsWhenIdle)
 {
-    DidtModel model(DidtParams(), 29);
+    const DidtModel model;
+    Rng rng(29);
     const auto zero = amps(0, Volts{0.0});
     for (int i = 0; i < 1000; ++i) {
-        const auto s = model.step(zero, zero, Seconds{1e-3});
+        const auto s = model.step(rng, zero, zero, Seconds{1e-3});
         ASSERT_EQ(s.droopEvents, 0);
         ASSERT_DOUBLE_EQ(s.worstDroop, Volts{0.0});
     }
@@ -149,8 +156,10 @@ TEST(Didt, NoDroopsWhenIdle)
 
 TEST(Didt, MismatchedVectorsPanic)
 {
-    DidtModel model;
-    EXPECT_THROW(model.step(amps(1, 1.0_mV, 8), amps(1, 1.0_mV, 4), Seconds{1e-3}),
+    const DidtModel model;
+    Rng rng(0x5EEDu);
+    EXPECT_THROW(model.step(rng, amps(1, 1.0_mV, 8), amps(1, 1.0_mV, 4),
+                            Seconds{1e-3}),
                  InternalError);
 }
 
@@ -158,11 +167,11 @@ TEST(Didt, RejectsBadParams)
 {
     DidtParams params;
     params.droopRatePerSecond = -1.0;
-    EXPECT_THROW(DidtModel(params, 1), ConfigError);
+    EXPECT_THROW(DidtModel{params}, ConfigError);
 
     params = DidtParams();
     params.depthJitter = -0.1;
-    EXPECT_THROW(DidtModel(params, 1), ConfigError);
+    EXPECT_THROW(DidtModel{params}, ConfigError);
 }
 
 } // namespace

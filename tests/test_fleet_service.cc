@@ -14,7 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "chip/chip_state.h"
 #include "common/error.h"
 #include "fault/fault_plan.h"
 #include "obs/observability.h"
@@ -44,10 +48,48 @@ baseConfig()
     return config;
 }
 
+/** Every chip's state, labelled by server and socket, server-major. */
+using ChipStates = std::vector<std::pair<std::string, chip::ChipState>>;
+
+ChipStates
+chipStates(FleetService &service)
+{
+    ChipStates states;
+    for (size_t i = 0; i < service.serverCount(); ++i) {
+        Server &server = service.server(i);
+        for (size_t s = 0; s < server.socketCount(); ++s) {
+            states.emplace_back("server " + std::to_string(i) +
+                                    " socket " + std::to_string(s),
+                                server.chip(s).state());
+        }
+    }
+    return states;
+}
+
+/**
+ * Whole-state comparison of two fleets' chips. stateDigest() hashes a
+ * few observables per chip; this also covers the di/dt stream, the
+ * safety monitor, the telemetry window in progress and the DPLL caps,
+ * and names the first chip that differs.
+ */
+void
+expectEqualChipStates(const ChipStates &a, const ChipStates &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (!(a[i].second == b[i].second)) {
+            ADD_FAILURE() << "chip states first differ at " << a[i].first;
+            return;
+        }
+    }
+}
+
 TEST(FleetService, ExactModeBitIdenticalAcrossThreadCounts)
 {
     uint64_t serialDigest = 0;
     uint64_t stolenDigest = 0;
+    ChipStates serialStates;
+    ChipStates stolenStates;
     {
         FleetServiceConfig config = baseConfig();
         config.stepper.threads = 1;
@@ -55,6 +97,7 @@ TEST(FleetService, ExactModeBitIdenticalAcrossThreadCounts)
         service.start();
         service.runFor(Seconds{0.3});
         serialDigest = service.stateDigest();
+        serialStates = chipStates(service);
         EXPECT_GT(service.stats().completed, 0u);
     }
     {
@@ -65,8 +108,10 @@ TEST(FleetService, ExactModeBitIdenticalAcrossThreadCounts)
         service.start();
         service.runFor(Seconds{0.3});
         stolenDigest = service.stateDigest();
+        stolenStates = chipStates(service);
     }
     EXPECT_EQ(serialDigest, stolenDigest);
+    expectEqualChipStates(serialStates, stolenStates);
 }
 
 /**
@@ -121,11 +166,14 @@ TEST(FleetService, DigestUnaffectedByTelemetry)
 {
     uint64_t darkDigest = 0;
     uint64_t litDigest = 0;
+    ChipStates darkStates;
+    ChipStates litStates;
     {
         FleetService service(baseConfig());
         service.start();
         service.runFor(Seconds{0.2});
         darkDigest = service.stateDigest();
+        darkStates = chipStates(service);
     }
     {
         TelemetryConfig tc;
@@ -138,10 +186,12 @@ TEST(FleetService, DigestUnaffectedByTelemetry)
         service.start();
         service.runFor(Seconds{0.2});
         litDigest = service.stateDigest();
+        litStates = chipStates(service);
         ASSERT_NE(hub.series("service.throughput"), nullptr);
         EXPECT_FALSE(hub.series("service.throughput")->empty());
     }
     EXPECT_EQ(darkDigest, litDigest);
+    expectEqualChipStates(darkStates, litStates);
 }
 
 TEST(FleetService, SustainsSteadyLoad)

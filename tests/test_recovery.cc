@@ -452,11 +452,20 @@ TEST(RecoveryManager, EnabledIsBitIdenticalToDisabledWithoutFailures)
     fleetOff.run(Seconds{0.5});
 
     // Watchdog, checkpointing, and the (quiescent) ladder must be pure
-    // observers: identical telemetry, bit for bit.
+    // observers: identical chip states and telemetry, bit for bit.
+    bool statesEqual = true;
     for (size_t i = 0; i < 2; ++i) {
         for (size_t socket = 0; socket < 2; ++socket) {
             const chip::Chip &a = fleetOn.servers[i]->chip(socket);
             const chip::Chip &b = fleetOff.servers[i]->chip(socket);
+            // The whole state also covers what these observables miss
+            // (the di/dt stream, the monitor, the window in progress);
+            // name only the first chip that differs.
+            if (statesEqual && !(a.state() == b.state())) {
+                ADD_FAILURE() << "chip states first differ at server " << i
+                              << " socket " << socket;
+                statesEqual = false;
+            }
             EXPECT_EQ(a.power().value(), b.power().value());
             EXPECT_EQ(a.setpoint().value(), b.setpoint().value());
             EXPECT_EQ(a.simTime().value(), b.simTime().value());

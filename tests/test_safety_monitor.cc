@@ -39,55 +39,59 @@ fastParams()
 
 /** Feed `steps` identical observations; returns the last action. */
 Action
-feed(SafetyMonitor &monitor, int steps, bool emergency,
-     bool adaptive = true)
+feed(const SafetyMonitor &monitor, SafetyMonitor::State &m, int steps,
+     bool emergency, bool adaptive = true)
 {
     Action last = Action::None;
     for (int i = 0; i < steps; ++i)
-        last = monitor.observe(emergency, adaptive, kDt);
+        last = monitor.observe(m, emergency, adaptive, kDt);
     return last;
 }
 
 TEST(SafetyMonitorUnit, NoEmergenciesNeverDemotes)
 {
     SafetyMonitor monitor(fastParams());
-    EXPECT_EQ(feed(monitor, 10000, false), Action::None);
-    EXPECT_EQ(monitor.state(), SafetyState::Monitoring);
-    EXPECT_EQ(monitor.totalEmergencies(), 0);
-    EXPECT_EQ(monitor.demotionCount(), 0);
+    SafetyMonitor::State m;
+    EXPECT_EQ(feed(monitor, m, 10000, false), Action::None);
+    EXPECT_EQ(m.state, SafetyState::Monitoring);
+    EXPECT_EQ(m.totalEmergencies, 0);
+    EXPECT_EQ(m.demotions, 0);
 }
 
 TEST(SafetyMonitorUnit, DemotesWhenBudgetExceededInWindow)
 {
     SafetyMonitor monitor(fastParams());
-    EXPECT_EQ(monitor.observe(true, true, kDt), Action::None);
-    EXPECT_EQ(monitor.observe(true, true, kDt), Action::None);
-    EXPECT_EQ(monitor.observe(true, true, kDt), Action::None);
+    SafetyMonitor::State m;
+    EXPECT_EQ(monitor.observe(m, true, true, kDt), Action::None);
+    EXPECT_EQ(monitor.observe(m, true, true, kDt), Action::None);
+    EXPECT_EQ(monitor.observe(m, true, true, kDt), Action::None);
     // Fourth emergency hits the budget inside one 0.1 s window.
-    EXPECT_EQ(monitor.observe(true, true, kDt), Action::Demote);
-    EXPECT_EQ(monitor.state(), SafetyState::Demoted);
-    EXPECT_EQ(monitor.demotionCount(), 1);
-    EXPECT_GE(monitor.lastDemotionAt(), Seconds{0.0});
+    EXPECT_EQ(monitor.observe(m, true, true, kDt), Action::Demote);
+    EXPECT_EQ(m.state, SafetyState::Demoted);
+    EXPECT_EQ(m.demotions, 1);
+    EXPECT_GE(m.lastDemotionAt, Seconds{0.0});
 }
 
 TEST(SafetyMonitorUnit, SparseEmergenciesStayUnderBudget)
 {
     SafetyMonitor monitor(fastParams());
+    SafetyMonitor::State m;
     // One emergency per 0.1 s window: 3 under the budget of 4, forever.
     for (int i = 0; i < 200; ++i) {
-        EXPECT_EQ(monitor.observe(true, true, kDt), Action::None);
-        EXPECT_EQ(feed(monitor, 100, false), Action::None);
+        EXPECT_EQ(monitor.observe(m, true, true, kDt), Action::None);
+        EXPECT_EQ(feed(monitor, m, 100, false), Action::None);
     }
-    EXPECT_EQ(monitor.state(), SafetyState::Monitoring);
-    EXPECT_EQ(monitor.totalEmergencies(), 200);
+    EXPECT_EQ(m.state, SafetyState::Monitoring);
+    EXPECT_EQ(m.totalEmergencies, 200);
 }
 
 TEST(SafetyMonitorUnit, NonAdaptiveModeCountsButNeverDemotes)
 {
     SafetyMonitor monitor(fastParams());
-    EXPECT_EQ(feed(monitor, 50, true, /*adaptive=*/false), Action::None);
-    EXPECT_EQ(monitor.state(), SafetyState::Monitoring);
-    EXPECT_EQ(monitor.totalEmergencies(), 50);
+    SafetyMonitor::State m;
+    EXPECT_EQ(feed(monitor, m, 50, true, /*adaptive=*/false), Action::None);
+    EXPECT_EQ(m.state, SafetyState::Monitoring);
+    EXPECT_EQ(m.totalEmergencies, 50);
 }
 
 TEST(SafetyMonitorUnit, DisabledMonitorCountsButNeverDemotes)
@@ -95,28 +99,30 @@ TEST(SafetyMonitorUnit, DisabledMonitorCountsButNeverDemotes)
     SafetyMonitorParams params = fastParams();
     params.enabled = false;
     SafetyMonitor monitor(params);
-    EXPECT_EQ(feed(monitor, 100, true), Action::None);
-    EXPECT_EQ(monitor.state(), SafetyState::Monitoring);
-    EXPECT_EQ(monitor.totalEmergencies(), 100);
+    SafetyMonitor::State m;
+    EXPECT_EQ(feed(monitor, m, 100, true), Action::None);
+    EXPECT_EQ(m.state, SafetyState::Monitoring);
+    EXPECT_EQ(m.totalEmergencies, 100);
 }
 
 TEST(SafetyMonitorUnit, RearmsAfterCleanInterval)
 {
     SafetyMonitor monitor(fastParams());
-    feed(monitor, 4, true);
-    ASSERT_EQ(monitor.state(), SafetyState::Demoted);
+    SafetyMonitor::State m;
+    feed(monitor, m, 4, true);
+    ASSERT_EQ(m.state, SafetyState::Demoted);
 
     // 0.05 s clean (50 steps) re-arms; the step crossing the threshold
     // returns Rearm.
     Action last = Action::None;
     int steps = 0;
     while (last != Action::Rearm && steps < 200) {
-        last = monitor.observe(false, true, kDt);
+        last = monitor.observe(m, false, true, kDt);
         ++steps;
     }
     EXPECT_EQ(last, Action::Rearm);
-    EXPECT_EQ(monitor.state(), SafetyState::Monitoring);
-    EXPECT_EQ(monitor.rearmCount(), 1);
+    EXPECT_EQ(m.state, SafetyState::Monitoring);
+    EXPECT_EQ(m.rearms, 1);
     // Clean time required: ~50 steps of 1 ms.
     EXPECT_NEAR(steps, 50, 2);
 }
@@ -124,38 +130,40 @@ TEST(SafetyMonitorUnit, RearmsAfterCleanInterval)
 TEST(SafetyMonitorUnit, EmergencyWhileDemotedResetsCleanClock)
 {
     SafetyMonitor monitor(fastParams());
-    feed(monitor, 4, true);
-    ASSERT_EQ(monitor.state(), SafetyState::Demoted);
+    SafetyMonitor::State m;
+    feed(monitor, m, 4, true);
+    ASSERT_EQ(m.state, SafetyState::Demoted);
 
     // Get 80% of the way to re-arm, then slip once: the clean clock
     // must restart, so 40 more steps are NOT enough.
-    EXPECT_EQ(feed(monitor, 40, false), Action::None);
-    EXPECT_EQ(monitor.observe(true, true, kDt), Action::None);
-    EXPECT_EQ(feed(monitor, 40, false), Action::None);
-    EXPECT_EQ(monitor.state(), SafetyState::Demoted);
+    EXPECT_EQ(feed(monitor, m, 40, false), Action::None);
+    EXPECT_EQ(monitor.observe(m, true, true, kDt), Action::None);
+    EXPECT_EQ(feed(monitor, m, 40, false), Action::None);
+    EXPECT_EQ(m.state, SafetyState::Demoted);
     // A further full interval does re-arm (Rearm fires mid-feed).
-    feed(monitor, 15, false);
-    EXPECT_EQ(monitor.state(), SafetyState::Monitoring);
-    EXPECT_EQ(monitor.rearmCount(), 1);
+    feed(monitor, m, 15, false);
+    EXPECT_EQ(m.state, SafetyState::Monitoring);
+    EXPECT_EQ(m.rearms, 1);
 }
 
 TEST(SafetyMonitorUnit, RearmBackoffDoublesCleanRequirement)
 {
     SafetyMonitor monitor(fastParams());
+    SafetyMonitor::State m;
 
-    feed(monitor, 4, true);
-    ASSERT_EQ(monitor.state(), SafetyState::Demoted);
+    feed(monitor, m, 4, true);
+    ASSERT_EQ(m.state, SafetyState::Demoted);
     int first = 0;
-    while (monitor.state() == SafetyState::Demoted && first < 500) {
-        monitor.observe(false, true, kDt);
+    while (m.state == SafetyState::Demoted && first < 500) {
+        monitor.observe(m, false, true, kDt);
         ++first;
     }
 
-    feed(monitor, 4, true);
-    ASSERT_EQ(monitor.state(), SafetyState::Demoted);
+    feed(monitor, m, 4, true);
+    ASSERT_EQ(m.state, SafetyState::Demoted);
     int second = 0;
-    while (monitor.state() == SafetyState::Demoted && second < 500) {
-        monitor.observe(false, true, kDt);
+    while (m.state == SafetyState::Demoted && second < 500) {
+        monitor.observe(m, false, true, kDt);
         ++second;
     }
 
@@ -168,19 +176,20 @@ TEST(SafetyMonitorUnit, LatchesAfterMaxRearms)
     SafetyMonitorParams params = fastParams();
     params.maxRearms = 1;
     SafetyMonitor monitor(params);
+    SafetyMonitor::State m;
 
-    feed(monitor, 4, true);                 // demotion 1
-    ASSERT_EQ(monitor.state(), SafetyState::Demoted);
-    feed(monitor, 200, false);              // re-arm 1 (the only one)
-    ASSERT_EQ(monitor.state(), SafetyState::Monitoring);
+    feed(monitor, m, 4, true);                 // demotion 1
+    ASSERT_EQ(m.state, SafetyState::Demoted);
+    feed(monitor, m, 200, false);              // re-arm 1 (the only one)
+    ASSERT_EQ(m.state, SafetyState::Monitoring);
 
-    feed(monitor, 4, true);                 // demotion 2: budget spent
-    EXPECT_EQ(monitor.state(), SafetyState::Latched);
+    feed(monitor, m, 4, true);                 // demotion 2: budget spent
+    EXPECT_EQ(m.state, SafetyState::Latched);
     // Latched is permanent: no amount of clean time re-arms.
-    EXPECT_EQ(feed(monitor, 5000, false), Action::None);
-    EXPECT_EQ(monitor.state(), SafetyState::Latched);
-    EXPECT_EQ(monitor.rearmCount(), 1);
-    EXPECT_EQ(monitor.demotionCount(), 2);
+    EXPECT_EQ(feed(monitor, m, 5000, false), Action::None);
+    EXPECT_EQ(m.state, SafetyState::Latched);
+    EXPECT_EQ(m.rearms, 1);
+    EXPECT_EQ(m.demotions, 2);
 }
 
 TEST(SafetyMonitorUnit, ZeroMaxRearmsLatchesImmediately)
@@ -188,8 +197,9 @@ TEST(SafetyMonitorUnit, ZeroMaxRearmsLatchesImmediately)
     SafetyMonitorParams params = fastParams();
     params.maxRearms = 0;
     SafetyMonitor monitor(params);
-    feed(monitor, 4, true);
-    EXPECT_EQ(monitor.state(), SafetyState::Latched);
+    SafetyMonitor::State m;
+    feed(monitor, m, 4, true);
+    EXPECT_EQ(m.state, SafetyState::Latched);
 }
 
 TEST(SafetyMonitorUnit, NegativeMaxRearmsNeverLatches)
@@ -197,26 +207,28 @@ TEST(SafetyMonitorUnit, NegativeMaxRearmsNeverLatches)
     SafetyMonitorParams params = fastParams();
     params.maxRearms = -1;
     SafetyMonitor monitor(params);
+    SafetyMonitor::State m;
     for (int round = 0; round < 10; ++round) {
-        feed(monitor, 4, true);
-        ASSERT_EQ(monitor.state(), SafetyState::Demoted) << round;
-        feed(monitor, 100000, false);
-        ASSERT_EQ(monitor.state(), SafetyState::Monitoring) << round;
+        feed(monitor, m, 4, true);
+        ASSERT_EQ(m.state, SafetyState::Demoted) << round;
+        feed(monitor, m, 100000, false);
+        ASSERT_EQ(m.state, SafetyState::Monitoring) << round;
     }
-    EXPECT_EQ(monitor.demotionCount(), 10);
-    EXPECT_EQ(monitor.rearmCount(), 10);
+    EXPECT_EQ(m.demotions, 10);
+    EXPECT_EQ(m.rearms, 10);
 }
 
 TEST(SafetyMonitorUnit, ResetForgetsHistory)
 {
     SafetyMonitor monitor(fastParams());
-    feed(monitor, 4, true);
-    ASSERT_EQ(monitor.state(), SafetyState::Demoted);
-    monitor.reset();
-    EXPECT_EQ(monitor.state(), SafetyState::Monitoring);
-    EXPECT_EQ(monitor.totalEmergencies(), 0);
-    EXPECT_EQ(monitor.demotionCount(), 0);
-    EXPECT_EQ(monitor.now(), Seconds{0.0});
+    SafetyMonitor::State m;
+    feed(monitor, m, 4, true);
+    ASSERT_EQ(m.state, SafetyState::Demoted);
+    m = SafetyMonitor::State{};
+    EXPECT_EQ(m.state, SafetyState::Monitoring);
+    EXPECT_EQ(m.totalEmergencies, 0);
+    EXPECT_EQ(m.demotions, 0);
+    EXPECT_EQ(m.now, Seconds{0.0});
 }
 
 TEST(SafetyMonitorUnit, ParamValidation)
@@ -254,21 +266,22 @@ TEST(SafetyMonitorUnit, PartialRestartFractionKeepsCleanCredit)
     SafetyMonitorParams params = fastParams();
     params.demotedRestartFraction = 0.5;
     SafetyMonitor monitor(params);
-    feed(monitor, 4, true);
-    ASSERT_EQ(monitor.state(), SafetyState::Demoted);
+    SafetyMonitor::State m;
+    feed(monitor, m, 4, true);
+    ASSERT_EQ(m.state, SafetyState::Demoted);
 
     // 40 ms clean, then one slip: 41 ms of credit halves to 20.5 ms,
     // leaving 29.5 ms owed against the 50 ms interval...
-    feed(monitor, 40, false);
-    EXPECT_EQ(monitor.observe(true, true, kDt), Action::None);
-    EXPECT_NEAR(monitor.rearmBudget().value(), 0.0295, 1e-9);
+    feed(monitor, m, 40, false);
+    EXPECT_EQ(monitor.observe(m, true, true, kDt), Action::None);
+    EXPECT_NEAR(monitor.rearmBudget(m).value(), 0.0295, 1e-9);
 
     // ...so 28 more clean steps are not enough, but 2 beyond that are.
-    EXPECT_EQ(feed(monitor, 28, false), Action::None);
-    EXPECT_EQ(monitor.state(), SafetyState::Demoted);
-    feed(monitor, 2, false);
-    EXPECT_EQ(monitor.state(), SafetyState::Monitoring);
-    EXPECT_EQ(monitor.rearmCount(), 1);
+    EXPECT_EQ(feed(monitor, m, 28, false), Action::None);
+    EXPECT_EQ(m.state, SafetyState::Demoted);
+    feed(monitor, m, 2, false);
+    EXPECT_EQ(m.state, SafetyState::Monitoring);
+    EXPECT_EQ(m.rearms, 1);
 }
 
 TEST(SafetyMonitorUnit, ZeroRestartFractionForgivesSlipsEntirely)
@@ -276,15 +289,16 @@ TEST(SafetyMonitorUnit, ZeroRestartFractionForgivesSlipsEntirely)
     SafetyMonitorParams params = fastParams();
     params.demotedRestartFraction = 0.0;
     SafetyMonitor monitor(params);
-    feed(monitor, 4, true);
-    ASSERT_EQ(monitor.state(), SafetyState::Demoted);
+    SafetyMonitor::State m;
+    feed(monitor, m, 4, true);
+    ASSERT_EQ(m.state, SafetyState::Demoted);
 
     // The slip costs nothing: the clean clock keeps running through it,
     // so 50 ms of wall time demoted re-arms regardless.
-    feed(monitor, 40, false);
-    EXPECT_EQ(monitor.observe(true, true, kDt), Action::None);
-    feed(monitor, 10, false);
-    EXPECT_EQ(monitor.state(), SafetyState::Monitoring);
+    feed(monitor, m, 40, false);
+    EXPECT_EQ(monitor.observe(m, true, true, kDt), Action::None);
+    feed(monitor, m, 10, false);
+    EXPECT_EQ(m.state, SafetyState::Monitoring);
 }
 
 TEST(SafetyMonitorUnit, RearmBackoffCapBoundsCleanRequirement)
@@ -293,28 +307,30 @@ TEST(SafetyMonitorUnit, RearmBackoffCapBoundsCleanRequirement)
     params.maxRearms = -1; // never latch: exercise repeated cycles
     params.rearmBackoffCap = 2.0;
     SafetyMonitor monitor(params);
+    SafetyMonitor::State m;
 
     // Demotion n requires rearmInterval * min(2^(n-1), cap).
     const double expected[] = {0.05, 0.1, 0.1, 0.1};
     for (int n = 0; n < 4; ++n) {
-        feed(monitor, 4, true);
-        ASSERT_EQ(monitor.state(), SafetyState::Demoted) << n;
-        EXPECT_NEAR(monitor.requiredCleanInterval().value(), expected[n],
+        feed(monitor, m, 4, true);
+        ASSERT_EQ(m.state, SafetyState::Demoted) << n;
+        EXPECT_NEAR(monitor.requiredCleanInterval(m).value(), expected[n],
                     1e-12)
             << "demotion " << n + 1;
-        feed(monitor, 100000, false);
-        ASSERT_EQ(monitor.state(), SafetyState::Monitoring) << n;
+        feed(monitor, m, 100000, false);
+        ASSERT_EQ(m.state, SafetyState::Monitoring) << n;
     }
 
     // Control: uncapped, the third demotion owes 4x the base interval.
     params.rearmBackoffCap = 0.0;
     SafetyMonitor uncapped(params);
+    SafetyMonitor::State u;
     for (int n = 0; n < 2; ++n) {
-        feed(uncapped, 4, true);
-        feed(uncapped, 100000, false);
+        feed(uncapped, u, 4, true);
+        feed(uncapped, u, 100000, false);
     }
-    feed(uncapped, 4, true);
-    EXPECT_NEAR(uncapped.requiredCleanInterval().value(), 0.2, 1e-12);
+    feed(uncapped, u, 4, true);
+    EXPECT_NEAR(uncapped.requiredCleanInterval(u).value(), 0.2, 1e-12);
 }
 
 /**
@@ -351,7 +367,7 @@ TEST_F(ChipDemotionTest, OptimisticBiasDemotesAndStopsViolations)
     chip_->setMode(GuardbandMode::AdaptiveUndervolt);
     chip_->settle(Seconds{1.5});
     ASSERT_EQ(chip_->mode(), GuardbandMode::AdaptiveUndervolt);
-    EXPECT_EQ(chip_->safetyMonitor().totalEmergencies(), 0);
+    EXPECT_EQ(chip_->totalEmergencies(), 0);
 
     // Every bank reports 40 mV more margin than exists, from t = 0.1 s.
     // The lie must clear the controller's walk-down dead band (~17 mV
@@ -370,7 +386,7 @@ TEST_F(ChipDemotionTest, OptimisticBiasDemotesAndStopsViolations)
         if (demotedAt < Seconds{0.0} && chip_->safetyDemoted()) {
             demotedAt = injector.now();
             emergenciesBeforeDemotion =
-                int(chip_->safetyMonitor().totalEmergencies());
+                int(chip_->totalEmergencies());
         }
     }
 
@@ -378,7 +394,7 @@ TEST_F(ChipDemotionTest, OptimisticBiasDemotesAndStopsViolations)
     ASSERT_GT(demotedAt, Seconds{0.1});
     EXPECT_EQ(chip_->mode(), GuardbandMode::StaticGuardband);
     EXPECT_EQ(chip_->commandedMode(), GuardbandMode::AdaptiveUndervolt);
-    EXPECT_GE(chip_->safetyMonitor().demotionCount(), 1);
+    EXPECT_GE(chip_->totalDemotions(), 1);
     // ...within its budget (8 emergencies, plus at most one window's
     // worth of slack while the last window rolls over)...
     EXPECT_LE(emergenciesBeforeDemotion,
@@ -390,12 +406,12 @@ TEST_F(ChipDemotionTest, OptimisticBiasDemotesAndStopsViolations)
     // After demotion (allowing the rail to recover), static guardband
     // absorbs the lying sensor: zero further vmin violations.
     chip_->settle(Seconds{0.5});
-    const int64_t settled = chip_->safetyMonitor().totalEmergencies();
+    const int64_t settled = chip_->totalEmergencies();
     for (int i = 0; i < 1000; ++i) {
         chip_->step(dt);
         EXPECT_EQ(chip_->lastStepEmergencies(), 0) << "step " << i;
     }
-    EXPECT_EQ(chip_->safetyMonitor().totalEmergencies(), settled);
+    EXPECT_EQ(chip_->totalEmergencies(), settled);
     EXPECT_GT(chip_->lastWorstMargin(), Volts{0.0});
 }
 
@@ -417,7 +433,7 @@ TEST_F(ChipDemotionTest, UserModeCommandResetsWatchdog)
     chip_->attachFaultInjector(nullptr);
     chip_->setMode(GuardbandMode::AdaptiveUndervolt);
     EXPECT_FALSE(chip_->safetyDemoted());
-    EXPECT_EQ(chip_->safetyMonitor().demotionCount(), 0);
+    EXPECT_EQ(chip_->totalDemotions(), 0);
     chip_->settle(Seconds{1.0});
     EXPECT_EQ(chip_->mode(), GuardbandMode::AdaptiveUndervolt);
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """agsim project lint gate.
 
-Seven project-specific rules that clang-tidy cannot express:
+Eight project-specific rules that clang-tidy cannot express:
 
   naked-double      In public headers of the physics modules (src/pdn,
                     src/power, src/chip, src/clock, src/sensors), a
@@ -46,6 +46,15 @@ Seven project-specific rules that clang-tidy cannot express:
                     hub's one TimeSeriesBuffer write are pinned to the
                     files named in SINGLE_WRITER_RULES, keeping the
                     lock-free rings sound.
+
+  plain-state       The structs of src/chip/chip_state.h, and every
+                    component `struct State` in a header it includes,
+                    declare no raw-pointer, reference, std::function or
+                    smart-pointer member. A checkpoint is a copy of the
+                    state restored into another chip; a pointer in it
+                    would alias the source chip's objects (Dpll's
+                    `const VfCurve *` is why such members stay in the
+                    component, beside its State, never inside it).
 
 Suppressions: a finding on line N (or N+1) is waived by a comment
 `lint: allow(<rule>): <reason>`; a whole file opts out of one rule with
@@ -139,7 +148,25 @@ SINGLE_WRITER_RULES = [
 
 ALL_CHECKS = ("naked-double", "config-validate", "include-guard",
               "determinism", "units-boundary", "obs-cardinality",
-              "single-writer")
+              "single-writer", "plain-state")
+
+# plain-state: the chip state header, the struct bodies it must keep
+# plain, and what a member declaration must not be.
+CHIP_STATE_HEADER = "src/chip/chip_state.h"
+STRUCT_BODY = re.compile(
+    r"^(?P<indent>[ \t]*)struct\s+(?P<name>\w+)\s*\n(?P=indent)\{\n"
+    r"(?P<body>.*?)^(?P=indent)\};", re.M | re.S)
+QUOTED_INCLUDE = re.compile(r'^#include\s+"([^"]+)"', re.M)
+# `Type *name`, `Type &name`, `const Type *const name = ...`: a
+# declarator that starts the line, so function declarations (whose
+# parameters follow a parenthesis) never match.
+POINTER_MEMBER = re.compile(
+    r"^\s*[\w:<>,\s]*?[\w>]\s*[*&]+\s*(?:const\s+)?[A-Za-z_]\w*"
+    r"\s*(?:=|\{|;|\[)")
+# A pointer or reference as a template argument: std::vector<Foo *>.
+TEMPLATE_POINTER = re.compile(r"<[^;()]*[*&][^;()]*>")
+INDIRECT_TYPE = re.compile(
+    r"\bstd::(?:function|unique_ptr|shared_ptr|weak_ptr)\b")
 
 
 # --------------------------------------------------------------------
@@ -497,6 +524,49 @@ def check_single_writer(tree, findings):
                            "forbids new callers")
 
 
+# --------------------------------------------------------------------
+# plain-state: the chip state is values only, so a copy of it is a
+# checkpoint that shares nothing with the chip it came from.
+# --------------------------------------------------------------------
+
+def plain_state_bodies(tree):
+    """(path, struct name, first body line, body lines) to check."""
+    header = tree.root / CHIP_STATE_HEADER
+    if not header.is_file():
+        return
+    targets = [(header, None)]
+    for include in QUOTED_INCLUDE.findall(header.read_text()):
+        path = tree.root / "src" / include
+        if path.is_file():
+            targets.append((path, "State"))
+    for path, only in targets:
+        if not tree.wants(path):
+            continue
+        stripped = tree.view(path).stripped
+        for m in STRUCT_BODY.finditer(stripped):
+            if only is not None and m.group("name") != only:
+                continue
+            first = stripped[:m.start("body")].count("\n") + 1
+            yield path, m.group("name"), first, \
+                m.group("body").splitlines()
+
+
+def check_plain_state(tree, findings):
+    for path, name, first, lines in plain_state_bodies(tree):
+        depth = 0
+        for offset, line in enumerate(lines):
+            if depth == 0 and (POINTER_MEMBER.match(line) or
+                               INDIRECT_TYPE.search(line) or
+                               ("(" not in line and
+                                TEMPLATE_POINTER.search(line))):
+                report(tree, findings, "plain-state", path, first + offset,
+                       f"'{line.strip()}' in {name}: chip state holds "
+                       "values only (no pointer, reference, "
+                       "std::function or smart pointer), so a restored "
+                       "copy never aliases the source chip's objects")
+            depth += line.count("{") - line.count("}")
+
+
 CHECK_FUNCS = {
     "naked-double": check_naked_double,
     "config-validate": check_config_validate,
@@ -505,6 +575,7 @@ CHECK_FUNCS = {
     "units-boundary": check_units_boundary,
     "obs-cardinality": check_obs_cardinality,
     "single-writer": check_single_writer,
+    "plain-state": check_plain_state,
 }
 
 

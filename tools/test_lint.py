@@ -69,6 +69,9 @@ class FixtureTest(unittest.TestCase):
     def test_single_writer(self):
         self.run_fixture("single-writer")
 
+    def test_plain_state(self):
+        self.run_fixture("plain-state")
+
 
 class StripperTest(unittest.TestCase):
     """The comment/string stripper."""
